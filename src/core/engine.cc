@@ -36,6 +36,7 @@ struct EngineMetrics {
   obs::Counter* candidates;
   obs::Counter* accepted;
   obs::Counter* fast_rejects;
+  obs::Counter* nb_rejects;
   obs::Counter* exact_tails;
   obs::Counter* rna_tails;
   obs::Counter* batch_pairs;
@@ -58,6 +59,7 @@ const EngineMetrics& Metrics() {
     em.candidates = &r.GetCounter("ftl_query_candidates_total");
     em.accepted = &r.GetCounter("ftl_query_accepted_total");
     em.fast_rejects = &r.GetCounter("ftl_query_fast_reject_total");
+    em.nb_rejects = &r.GetCounter("ftl_query_nb_reject_total");
     em.exact_tails = &r.GetCounter("ftl_query_tail_exact_total");
     em.rna_tails = &r.GetCounter("ftl_query_tail_rna_total");
     em.batch_pairs = &r.GetCounter("ftl_score_batch_pairs_total");
@@ -83,7 +85,9 @@ Status QueryOptions::Check() const {
   return Status::OK();
 }
 
-FtlEngine::FtlEngine(EngineOptions options) : options_(std::move(options)) {}
+FtlEngine::FtlEngine(EngineOptions options)
+    : options_(std::move(options)),
+      nb_(models_, options_.naive_bayes) {}
 
 Status FtlEngine::Train(const traj::TrajectoryDatabase& p,
                         const traj::TrajectoryDatabase& q) {
@@ -91,6 +95,7 @@ Status FtlEngine::Train(const traj::TrajectoryDatabase& p,
   auto models = BuildModels(p, q, options_.training);
   if (!models.ok()) return models.status();
   models_ = std::move(models).value();
+  nb_ = NaiveBayesMatcher(models_, options_.naive_bayes);
   trained_ = true;
   return Status::OK();
 }
@@ -104,6 +109,7 @@ void FtlEngine::SetModels(ModelPair models) {
   // fills every bucket.
   models_.rejection.RepairUnsupportedBuckets();
   models_.acceptance.RepairUnsupportedBuckets();
+  nb_ = NaiveBayesMatcher(models_, options_.naive_bayes);
   trained_ = true;
 }
 
@@ -163,8 +169,8 @@ inline void PrefetchCandidate(const traj::FlatTrajectoryView& v) {
 template <typename QueryT, typename CandT>
 bool FtlEngine::ScoreOne(const QueryT& query, const CandT& cand,
                          Matcher matcher, const EvidenceOptions& ev_opts,
-                         const AlphaFilter& filter, const NaiveBayesMatcher& nb,
-                         MatchCandidate* out, ScoreScratch* scratch) const {
+                         const AlphaFilter& filter, MatchCandidate* out,
+                         ScoreScratch* scratch) const {
   // Stage timers are sampled (1 in kStageSampleEvery pairs, always
   // including the first of a stream) so per-stage attribution costs a
   // fraction of a clock read per pair amortized; counters are plain
@@ -250,19 +256,26 @@ bool FtlEngine::ScoreOne(const QueryT& query, const CandT& cand,
         // classification (plus the lazy p-value fill for accepted
         // candidates) is attributed to the decision stage.
         Stopwatch sw;
-        NaiveBayesDecision d = nb.Classify(ev);
+        NaiveBayesDecision d = nb_.Classify(ev);
         out->nb_log_odds = d.LogOdds();
         bool same = d.same_person;
-        if (same) fill_pvalues();
+        if (same) {
+          fill_pvalues();
+        } else {
+          ++scratch->n_nb_reject;
+        }
         const EngineMetrics& em = Metrics();
         em.stage_alignment_ns->Record(alignment_ns);
         em.stage_decision_ns->Record(
             static_cast<int64_t>(sw.ElapsedSeconds() * 1e9));
         return same;
       }
-      NaiveBayesDecision d = nb.Classify(ev);
+      NaiveBayesDecision d = nb_.Classify(ev);
       out->nb_log_odds = d.LogOdds();
-      if (!d.same_person) return false;
+      if (!d.same_person) {
+        ++scratch->n_nb_reject;
+        return false;
+      }
       fill_pvalues();
       return true;
     }
@@ -274,13 +287,12 @@ template <typename QueryT, typename CandT>
 bool FtlEngine::ScorePair(const QueryT& query, const CandT& cand,
                           Matcher matcher, MatchCandidate* out,
                           ScoreScratch* scratch) const {
-  // Both classifier views are thin model wrappers; constructing them
-  // per pair is cheap, just not free — the batch entry point below
-  // hoists them once per kScoreBatchSize pairs instead.
+  // The alpha filter view is a thin model wrapper; constructing it per
+  // pair is cheap, just not free — the batch entry point below hoists
+  // it once per kScoreBatchSize pairs instead.
   const EvidenceOptions ev_opts = evidence_options();
   const AlphaFilter filter(models_, options_.alpha);
-  const NaiveBayesMatcher nb(models_, options_.naive_bayes);
-  return ScoreOne(query, cand, matcher, ev_opts, filter, nb, out, scratch);
+  return ScoreOne(query, cand, matcher, ev_opts, filter, out, scratch);
 }
 
 template <typename QueryT, typename DbT>
@@ -291,7 +303,6 @@ size_t FtlEngine::ScorePairBatch(const QueryT& query, const DbT& db,
                                  ScoreScratch* scratch) const {
   const EvidenceOptions ev_opts = evidence_options();
   const AlphaFilter filter(models_, options_.alpha);
-  const NaiveBayesMatcher nb(models_, options_.naive_bayes);
   const EngineMetrics& em = Metrics();
   em.batch_pairs->Add(static_cast<int64_t>(n));
   size_t n_accepted = 0;
@@ -303,7 +314,7 @@ size_t FtlEngine::ScorePairBatch(const QueryT& query, const DbT& db,
     auto&& cand = db[indices[b]];
     if (b + 1 < n) PrefetchCandidate(db[indices[b + 1]]);
     bool acc =
-        ScoreOne(query, cand, matcher, ev_opts, filter, nb, &out[b], scratch);
+        ScoreOne(query, cand, matcher, ev_opts, filter, &out[b], scratch);
     accepted[b] = acc ? 1 : 0;
     n_accepted += acc ? 1 : 0;
   }
@@ -351,10 +362,12 @@ Result<QueryResult> FtlEngine::QueryImpl(
     const EngineMetrics& em = Metrics();
     em.candidates->Add(s->n_candidates);
     em.fast_rejects->Add(s->n_fast_reject);
+    em.nb_rejects->Add(s->n_nb_reject);
     em.exact_tails->Add(s->n_exact_tail);
     em.rna_tails->Add(s->n_rna_tail);
     s->n_candidates = 0;
     s->n_fast_reject = 0;
+    s->n_nb_reject = 0;
     s->n_exact_tail = 0;
     s->n_rna_tail = 0;
   };
@@ -687,23 +700,18 @@ BlockingGuarantee FtlEngine::DeriveBlockingGuarantee(Matcher matcher) const {
   if (matcher == Matcher::kNaiveBayes) {
     // Accept ⇔ Σ per-segment LLR >= log(1−φr) − log(φr). Each
     // informative segment contributes at most the best single-unit
-    // LLR, so acceptance needs n >= gap / best.
-    const double phi =
-        std::min(1.0 - 1e-12, std::max(1e-12, options_.naive_bayes.phi_r));
-    const double prior_gap = std::log(1.0 - phi) - std::log(phi);
+    // LLR, so acceptance needs n >= gap / best. Every term is read
+    // from the classifier's own log table.
+    const double prior_gap = nb_.log_prior_diff() - nb_.log_prior_same();
     if (prior_gap <= 0.0) {
       g.min_segments = 0;  // the prior alone accepts; cannot prune
       return g;
     }
-    const double floor_p = options_.naive_bayes.prob_floor;
     double best = -std::numeric_limits<double>::infinity();
     for (int64_t u = 0; u < ev.horizon_units; ++u) {
-      double sr = models_.rejection.IncompatProbByUnit(u);
-      double sa = models_.acceptance.IncompatProbByUnit(u);
-      sr = std::min(1.0 - floor_p, std::max(floor_p, sr));
-      sa = std::min(1.0 - floor_p, std::max(floor_p, sa));
-      best = std::max(best, std::log(sr) - std::log(sa));
-      best = std::max(best, std::log(1.0 - sr) - std::log(1.0 - sa));
+      const NaiveBayesUnitLogs& t = nb_.UnitLogs(u);
+      best = std::max(best, t.same_incompat - t.diff_incompat);
+      best = std::max(best, t.same_compat - t.diff_compat);
     }
     if (!(best > 0.0)) {
       g.min_segments = kNever;  // no segment favors "same person"

@@ -149,6 +149,11 @@ class FtlEngine {
   /// The trained models.
   const ModelPair& models() const { return models_; }
 
+  /// The Naïve-Bayes classifier over models() and
+  /// options().naive_bayes, tabulated once per model set (Train,
+  /// SetModels) and shared by every query.
+  const NaiveBayesMatcher& naive_bayes() const { return nb_; }
+
   /// Evidence extraction parameters implied by the training options.
   EvidenceOptions evidence_options() const;
 
@@ -284,9 +289,6 @@ class FtlEngine {
 
   const EngineOptions& options() const { return options_; }
 
-  /// Mutable access so harnesses can sweep α1/α2/φr without retraining.
-  EngineOptions* mutable_options() { return &options_; }
-
  private:
   friend class QueryScratch;  // wraps ScoreScratch for external callers
 
@@ -308,6 +310,7 @@ class FtlEngine {
     /// increments (no atomics, no clock reads).
     int64_t n_candidates = 0;
     int64_t n_fast_reject = 0;
+    int64_t n_nb_reject = 0;
     int64_t n_exact_tail = 0;
     int64_t n_rna_tail = 0;
 
@@ -318,17 +321,16 @@ class FtlEngine {
   };
 
   /// Scores one (query, candidate) pair with every per-batch handle
-  /// already hoisted by the caller: evidence options, both classifier
-  /// views, and the resolved metric handles. The innermost unit of
-  /// both ScorePair and ScorePairBatch; returns true when the
-  /// candidate should enter Q_P. Template over the trajectory
-  /// representation (Trajectory or FlatTrajectoryView); all
+  /// already hoisted by the caller: evidence options and the alpha
+  /// filter view (the Naïve-Bayes matcher is the engine's own nb_).
+  /// The innermost unit of both ScorePair and ScorePairBatch; returns
+  /// true when the candidate should enter Q_P. Template over the
+  /// trajectory representation (Trajectory or FlatTrajectoryView); all
   /// instantiations live in engine.cc.
   template <typename QueryT, typename CandT>
   bool ScoreOne(const QueryT& query, const CandT& cand, Matcher matcher,
                 const EvidenceOptions& ev_opts, const AlphaFilter& filter,
-                const NaiveBayesMatcher& nb, MatchCandidate* out,
-                ScoreScratch* scratch) const;
+                MatchCandidate* out, ScoreScratch* scratch) const;
 
   /// Scores one (query, candidate) pair into `out` using `scratch`;
   /// returns true when the candidate should enter Q_P. Thin wrapper
@@ -341,8 +343,8 @@ class FtlEngine {
 
   /// Batch scoring entry point of the hot path: streams the `n`
   /// database candidates listed in `indices` through ScoreOne with
-  /// kernel setup (evidence options, classifier construction, metric
-  /// handle and SIMD dispatch resolution) hoisted once per batch.
+  /// kernel setup (evidence options, alpha filter view, metric handle
+  /// and SIMD dispatch resolution) hoisted once per batch.
   /// Writes per-candidate results to out[b] / accepted[b] (parallel to
   /// `indices`) and returns the number accepted. Candidate evaluation
   /// order inside the batch is the `indices` order, so results are
@@ -383,6 +385,7 @@ class FtlEngine {
 
   EngineOptions options_;
   ModelPair models_;
+  NaiveBayesMatcher nb_;  ///< rebuilt whenever models_ changes
   bool trained_ = false;
 };
 

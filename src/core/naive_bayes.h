@@ -10,6 +10,9 @@
 /// Pr((b_i)|M) = Π_i s^(l_i)^{b_i} (1 − s^(l_i))^{1−b_i}.
 /// Priors: φr = Pr(Mr), φa = 1 − φr.
 
+#include <cstdint>
+#include <vector>
+
 #include "core/compatibility_model.h"
 #include "core/evidence.h"
 #include "core/model_builders.h"
@@ -39,17 +42,37 @@ struct NaiveBayesDecision {
   double LogOdds() const { return log_post_same - log_post_diff; }
 };
 
-/// Stateless Naïve-Bayes classifier over a trained model pair.
+/// Prior-free log-likelihoods of one pair's evidence.
+struct NaiveBayesLogLikelihoods {
+  double same = 0;  ///< log Pr(b | Mr)
+  double diff = 0;  ///< log Pr(b | Ma)
+};
+
+/// The four log terms one time unit can contribute, with each model's
+/// probability s clamped to [prob_floor, 1 − prob_floor].
+struct NaiveBayesUnitLogs {
+  double same_incompat = 0;  ///< log s_r
+  double same_compat = 0;    ///< log(1 − s_r)
+  double diff_incompat = 0;  ///< log s_a
+  double diff_compat = 0;    ///< log(1 − s_a)
+};
+
+/// Naïve-Bayes classifier over a trained model pair. The constructor
+/// tabulates every logarithm a decision can need — the clamped
+/// log s and log(1 − s) of both models per time unit, and the two
+/// log priors — so classifying sums table entries and calls no
+/// transcendental function. The matcher keeps no reference to
+/// `models`; it is immutable after construction and safe to share
+/// across threads.
 class NaiveBayesMatcher {
  public:
-  /// `models` must outlive the matcher.
   NaiveBayesMatcher(const ModelPair& models, const NaiveBayesParams& params);
 
   /// Scores pre-collected evidence.
   NaiveBayesDecision Classify(const MutualSegmentEvidence& evidence) const;
 
   /// Scores bucket-compacted evidence: the per-segment likelihood
-  /// product folds to one log/exp pair per occupied bucket, O(H)
+  /// product folds to one table lookup per occupied bucket, O(H)
   /// instead of O(n).
   NaiveBayesDecision Classify(const BucketEvidence& evidence) const;
 
@@ -58,16 +81,34 @@ class NaiveBayesMatcher {
                               const traj::Trajectory& q,
                               const EvidenceOptions& options) const;
 
+  /// The sums Classify(BucketEvidence) adds the log priors to.
+  NaiveBayesLogLikelihoods LogLikelihoods(const BucketEvidence& evidence) const;
+
+  /// Tabulated log terms of time unit `unit`; units the models do not
+  /// cover (negative, or beyond both horizons) have s = 0 before the
+  /// clamp, exactly as CompatibilityModel::IncompatProbByUnit.
+  const NaiveBayesUnitLogs& UnitLogs(int64_t unit) const {
+    return unit >= 0 && static_cast<uint64_t>(unit) < units_.size()
+               ? units_[static_cast<size_t>(unit)]
+               : uncovered_;
+  }
+
+  double log_prior_same() const { return log_prior_same_; }  ///< log φr
+  double log_prior_diff() const { return log_prior_diff_; }  ///< log(1 − φr)
+
   const NaiveBayesParams& params() const { return params_; }
 
  private:
-  double LogLikelihood(const MutualSegmentEvidence& evidence,
-                       const CompatibilityModel& model) const;
-  double LogLikelihood(const BucketEvidence& evidence,
-                       const CompatibilityModel& model) const;
+  /// Adds the log priors to `ll` and picks the larger posterior.
+  NaiveBayesDecision Decide(const NaiveBayesLogLikelihoods& ll,
+                            size_t n_segments) const;
 
-  const ModelPair& models_;
   NaiveBayesParams params_;
+  double log_prior_same_ = 0;
+  double log_prior_diff_ = 0;
+  /// One entry per unit up to the longer model's horizon.
+  std::vector<NaiveBayesUnitLogs> units_;
+  NaiveBayesUnitLogs uncovered_;
 };
 
 }  // namespace ftl::core

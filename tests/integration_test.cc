@@ -77,8 +77,13 @@ TEST(IntegrationTest, PhiRTradeoffDirection) {
 
   double prev_sel = -1.0;
   for (double phi : {1e-4, 0.01, 0.3}) {
-    engine.mutable_options()->naive_bayes.phi_r = phi;
-    auto results = engine.BatchQuery(workload.queries, data.transit_db,
+    // The prior is fixed per engine (its NB log table is built with
+    // the models), so each φr gets an engine over the same models.
+    core::EngineOptions swept = eo;
+    swept.naive_bayes.phi_r = phi;
+    core::FtlEngine at_phi(swept);
+    at_phi.SetModels(engine.models());
+    auto results = at_phi.BatchQuery(workload.queries, data.transit_db,
                                      core::Matcher::kNaiveBayes);
     ASSERT_TRUE(results.ok());
     auto m = eval::ComputeMetrics(results.value(), workload.owners,

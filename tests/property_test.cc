@@ -1,11 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "core/alpha_filter.h"
+#include "core/engine.h"
 #include "core/model_diagnostics.h"
+#include "core/naive_bayes.h"
+#include "eval/sweep.h"
 #include "io/csv.h"
+#include "sim/population_sim.h"
 #include "stats/descriptive.h"
 #include "stats/poisson_binomial.h"
 #include "traj/alignment.h"
@@ -262,6 +271,276 @@ TEST_P(AlignmentFuzzTest, MatchesBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AlignmentFuzzTest, ::testing::Range(0, 16));
+
+// ------------------------------------- Naïve-Bayes log tables vs std::log
+
+/// Direct-std::log reference of everything the Naïve-Bayes log table
+/// feeds: the classifier, the engine's NB blocking guarantee and the
+/// sweep's log-likelihood ratio, each taking std::log of the clamped
+/// model probabilities inline. The table must reproduce these bit for
+/// bit.
+namespace nb_reference {
+
+double Clamped(const CompatibilityModel& model, int64_t unit, double floor) {
+  double s = model.IncompatProbByUnit(unit);
+  return std::min(1.0 - floor, std::max(floor, s));
+}
+
+double LogLikelihood(const core::BucketEvidence& ev,
+                     const CompatibilityModel& model, double floor) {
+  double ll = 0.0;
+  for (size_t u = 0; u < ev.horizon_units(); ++u) {
+    int32_t n_u = ev.count[u];
+    if (n_u == 0) continue;
+    double s = Clamped(model, static_cast<int64_t>(u), floor);
+    int32_t inc = ev.incompatible[u];
+    ll += static_cast<double>(inc) * std::log(s) +
+          static_cast<double>(n_u - inc) * std::log(1.0 - s);
+  }
+  return ll;
+}
+
+double LogLikelihood(const MutualSegmentEvidence& ev,
+                     const CompatibilityModel& model, double floor) {
+  double ll = 0.0;
+  for (size_t i = 0; i < ev.size(); ++i) {
+    double s = Clamped(model, ev.units[i], floor);
+    ll += ev.incompatible[i] ? std::log(s) : std::log(1.0 - s);
+  }
+  return ll;
+}
+
+template <typename Evidence>
+core::NaiveBayesDecision Classify(const Evidence& ev, const ModelPair& models,
+                                  const core::NaiveBayesParams& params) {
+  core::NaiveBayesDecision d;
+  double phi_r = std::min(1.0 - 1e-12, std::max(1e-12, params.phi_r));
+  d.log_post_same = std::log(phi_r) +
+                    LogLikelihood(ev, models.rejection, params.prob_floor);
+  d.log_post_diff = std::log(1.0 - phi_r) +
+                    LogLikelihood(ev, models.acceptance, params.prob_floor);
+  d.same_person = d.log_post_same >= d.log_post_diff;
+  return d;
+}
+
+core::BlockingGuarantee Guarantee(const core::FtlEngine& engine) {
+  core::BlockingGuarantee g;
+  const core::EvidenceOptions ev = engine.evidence_options();
+  const int64_t tu = std::max<int64_t>(ev.time_unit_seconds, 1);
+  g.horizon_seconds =
+      std::max<int64_t>(0, ev.horizon_units * tu - tu / 2 - 1);
+  constexpr uint64_t kNever = uint64_t{1} << 62;
+  const core::NaiveBayesParams& params = engine.options().naive_bayes;
+  const double phi = std::min(1.0 - 1e-12, std::max(1e-12, params.phi_r));
+  const double prior_gap = std::log(1.0 - phi) - std::log(phi);
+  if (prior_gap <= 0.0) {
+    g.min_segments = 0;
+    return g;
+  }
+  double best = -std::numeric_limits<double>::infinity();
+  for (int64_t u = 0; u < ev.horizon_units; ++u) {
+    double sr = Clamped(engine.models().rejection, u, params.prob_floor);
+    double sa = Clamped(engine.models().acceptance, u, params.prob_floor);
+    best = std::max(best, std::log(sr) - std::log(sa));
+    best = std::max(best, std::log(1.0 - sr) - std::log(1.0 - sa));
+  }
+  if (!(best > 0.0)) {
+    g.min_segments = kNever;
+    return g;
+  }
+  const double n_min = (prior_gap - 1e-6) / best;
+  g.min_segments =
+      n_min <= 1.0 ? 1
+                   : static_cast<uint64_t>(std::min<double>(
+                         std::ceil(n_min), static_cast<double>(kNever)));
+  return g;
+}
+
+}  // namespace nb_reference
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+void ExpectSameDecision(const core::NaiveBayesDecision& got,
+                        const core::NaiveBayesDecision& want,
+                        const std::string& where) {
+  EXPECT_EQ(Bits(got.log_post_same), Bits(want.log_post_same)) << where;
+  EXPECT_EQ(Bits(got.log_post_diff), Bits(want.log_post_diff)) << where;
+  EXPECT_EQ(got.same_person, want.same_person) << where;
+}
+
+/// One bucket probability, drawn to hit the clamp's edges as often as
+/// its interior.
+double DrawProbability(Rng* rng) {
+  switch (rng->Index(6)) {
+    case 0: return 0.0;
+    case 1: return 1.0;
+    case 2: return rng->Uniform(0.0, 1e-7);
+    case 3: return 1.0 - rng->Uniform(0.0, 1e-7);
+    default: return rng->Uniform(0.0, 1.0);
+  }
+}
+
+/// A model of `len` buckets; with support counts, some unsupported
+/// zero buckets that SetModels / RepairUnsupportedBuckets backfill.
+CompatibilityModel DrawModel(Rng* rng, size_t len, bool repair) {
+  std::vector<double> probs(len);
+  std::vector<int64_t> support(len);
+  for (size_t u = 0; u < len; ++u) {
+    bool unsupported = rng->Bernoulli(0.3);
+    probs[u] = unsupported ? 0.0 : DrawProbability(rng);
+    support[u] = unsupported ? 0 : rng->UniformInt(1, 500);
+  }
+  CompatibilityModel m(60, std::move(probs));
+  m.set_support(std::move(support));
+  if (repair) m.RepairUnsupportedBuckets();
+  return m;
+}
+
+core::NaiveBayesParams DrawParams(Rng* rng) {
+  const double phis[] = {0.0, 1e-15, 1e-4, 0.01, 0.5, 0.9, 1.0};
+  const double floors[] = {1e-6, 1e-3, 1e-12};
+  core::NaiveBayesParams p;
+  p.phi_r = rng->Bernoulli(0.3) ? rng->Uniform(0.0, 1.0) : phis[rng->Index(7)];
+  p.prob_floor = floors[rng->Index(3)];
+  return p;
+}
+
+/// A random histogram over `horizon` units (plus junk in the overflow
+/// slot, which no consumer may read).
+core::BucketEvidence DrawHistogram(Rng* rng, size_t horizon) {
+  core::BucketEvidence ev;
+  ev.Reset(horizon);
+  for (size_t u = 0; u <= horizon; ++u) {
+    if (rng->Bernoulli(0.5)) continue;
+    ev.count[u] = static_cast<int32_t>(rng->UniformInt(1, 40));
+    ev.incompatible[u] = static_cast<int32_t>(rng->UniformInt(0, ev.count[u]));
+    if (u == horizon) continue;
+    ev.informative += ev.count[u];
+    ev.k_observed += ev.incompatible[u];
+  }
+  return ev;
+}
+
+/// Per-segment evidence, units reaching below 0 and past every
+/// model's horizon.
+MutualSegmentEvidence DrawSegments(Rng* rng, size_t horizon) {
+  MutualSegmentEvidence ev;
+  size_t n = rng->Index(60);
+  for (size_t i = 0; i < n; ++i) {
+    ev.units.push_back(static_cast<int32_t>(
+        rng->UniformInt(-2, static_cast<int64_t>(horizon) + 5)));
+    ev.incompatible.push_back(rng->Bernoulli(0.3) ? 1 : 0);
+  }
+  ev.total_mutual = static_cast<int64_t>(n);
+  return ev;
+}
+
+class NaiveBayesTableTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(NaiveBayesTableTest, ClassifyBitIdenticalToDirectLogs) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 11);
+  for (int trial = 0; trial < 20; ++trial) {
+    const size_t horizon = 1 + rng.Index(70);
+    ModelPair models;
+    // Model lengths straddle the evidence horizon: shorter models
+    // leave units the classifier must score as s = 0.
+    models.rejection = DrawModel(&rng, rng.Index(horizon + 8), true);
+    models.acceptance = DrawModel(&rng, rng.Index(horizon + 8), true);
+    const core::NaiveBayesParams params = DrawParams(&rng);
+    const core::NaiveBayesMatcher nb(models, params);
+    for (int i = 0; i < 25; ++i) {
+      const std::string where = "trial " + std::to_string(trial) +
+                                " case " + std::to_string(i);
+      core::BucketEvidence hist = DrawHistogram(&rng, horizon);
+      ExpectSameDecision(nb.Classify(hist),
+                         nb_reference::Classify(hist, models, params),
+                         "histogram " + where);
+      MutualSegmentEvidence segs = DrawSegments(&rng, horizon);
+      ExpectSameDecision(nb.Classify(segs),
+                         nb_reference::Classify(segs, models, params),
+                         "segments " + where);
+    }
+  }
+}
+
+TEST_P(NaiveBayesTableTest, BlockingGuaranteeMatchesDirectLogs) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 6271 + 5);
+  for (int trial = 0; trial < 40; ++trial) {
+    core::EngineOptions eo;
+    eo.training.horizon_units = 1 + static_cast<int64_t>(rng.Index(70));
+    eo.naive_bayes = DrawParams(&rng);
+    const size_t horizon = static_cast<size_t>(eo.training.horizon_units);
+    ModelPair models;
+    models.rejection = DrawModel(&rng, rng.Index(horizon + 8), false);
+    models.acceptance = DrawModel(&rng, rng.Index(horizon + 8), false);
+    core::FtlEngine engine(eo);
+    engine.SetModels(models);  // repairs the unsupported buckets
+    const core::BlockingGuarantee got =
+        engine.DeriveBlockingGuarantee(core::Matcher::kNaiveBayes);
+    const core::BlockingGuarantee want = nb_reference::Guarantee(engine);
+    EXPECT_EQ(got.horizon_seconds, want.horizon_seconds) << "trial " << trial;
+    EXPECT_EQ(got.min_segments, want.min_segments) << "trial " << trial;
+  }
+}
+
+TEST_P(NaiveBayesTableTest, SweepAndEngineMatchDirectLogs) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 3571 + 2);
+  sim::PopulationOptions po;
+  po.num_persons = 8;
+  po.duration_days = 2;
+  po.cdr_accesses_per_day = 20.0;
+  po.transit_accesses_per_day = 20.0;
+  po.seed = 500 + static_cast<uint64_t>(GetParam());
+  const sim::PopulationData data = sim::SimulatePopulation(po);
+
+  core::EngineOptions eo;
+  eo.training.horizon_units = 5 + static_cast<int64_t>(rng.Index(40));
+  eo.naive_bayes = DrawParams(&rng);
+  const size_t horizon = static_cast<size_t>(eo.training.horizon_units);
+  core::FtlEngine engine(eo);
+  ModelPair models;
+  models.rejection = DrawModel(&rng, rng.Index(horizon + 8), false);
+  models.acceptance = DrawModel(&rng, rng.Index(horizon + 8), false);
+  engine.SetModels(models);
+  const ModelPair& used = engine.models();  // after bucket repair
+  const double floor = eo.naive_bayes.prob_floor;
+
+  std::vector<traj::Trajectory> queries(data.cdr_db.begin(),
+                                        data.cdr_db.begin() + 3);
+  const auto scores = eval::ComputePairScores(engine, queries,
+                                              data.transit_db);
+  ASSERT_EQ(scores.size(), queries.size());
+  core::BucketEvidence ev;
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    ASSERT_EQ(scores[qi].size(), data.transit_db.size());
+    auto result = engine.Query(queries[qi], data.transit_db,
+                               core::Matcher::kNaiveBayes);
+    ASSERT_TRUE(result.ok());
+    std::vector<const core::MatchCandidate*> by_index(data.transit_db.size());
+    for (const core::MatchCandidate& mc : result.value().candidates) {
+      by_index[mc.index] = &mc;
+    }
+    for (size_t ci = 0; ci < data.transit_db.size(); ++ci) {
+      core::CollectEvidence(queries[qi], data.transit_db[ci],
+                            engine.evidence_options(), &ev);
+      const double log_lr =
+          nb_reference::LogLikelihood(ev, used.rejection, floor) -
+          nb_reference::LogLikelihood(ev, used.acceptance, floor);
+      EXPECT_EQ(Bits(scores[qi][ci].log_lr), Bits(log_lr))
+          << "query " << qi << " candidate " << ci;
+      const core::NaiveBayesDecision want =
+          nb_reference::Classify(ev, used, eo.naive_bayes);
+      ASSERT_EQ(by_index[ci] != nullptr, want.same_person)
+          << "query " << qi << " candidate " << ci;
+      if (want.same_person) {
+        EXPECT_EQ(Bits(by_index[ci]->nb_log_odds), Bits(want.LogOdds()))
+            << "query " << qi << " candidate " << ci;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, NaiveBayesTableTest, ::testing::Range(0, 6));
 
 }  // namespace
 }  // namespace ftl

@@ -2,7 +2,8 @@
 // and replay (including truncation at every byte boundary of the last
 // record), the shared torn-tail repair helper, manifest encode/swap,
 // memtable merge rules, flush/reopen equivalence, multi-segment query
-// byte-identity, and admission control.
+// byte-identity, admission control, and the candidate-outcome counters
+// that partition every query path's candidate set.
 
 #include <gtest/gtest.h>
 
@@ -12,11 +13,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ftl/ftl.h"
+#include "obs/metrics.h"
 
 namespace ftl {
 namespace {
@@ -987,6 +991,85 @@ TEST_F(StoreQueryTest, CompactedSnapshotQueryByteIdenticalToUncompacted) {
       EXPECT_EQ(io::QueryResultToJson(p_[qi].label(), uncompacted.value()),
                 want_json)
           << "query " << p_[qi].label();
+    }
+  }
+}
+
+// --------------------------------------------------------------------------
+// Candidate outcomes: every scored candidate lands in exactly one of
+// fast_reject, nb_reject, tail_exact and tail_rna, on every query path.
+
+struct OutcomeCounts {
+  int64_t candidates = 0;
+  int64_t fast_reject = 0;
+  int64_t nb_reject = 0;
+  int64_t tail_exact = 0;
+  int64_t tail_rna = 0;
+};
+
+OutcomeCounts ReadOutcomeCounts() {
+  auto& reg = obs::MetricsRegistry::Global();
+  OutcomeCounts c;
+  c.candidates = reg.GetCounter("ftl_query_candidates_total").Value();
+  c.fast_reject = reg.GetCounter("ftl_query_fast_reject_total").Value();
+  c.nb_reject = reg.GetCounter("ftl_query_nb_reject_total").Value();
+  c.tail_exact = reg.GetCounter("ftl_query_tail_exact_total").Value();
+  c.tail_rna = reg.GetCounter("ftl_query_tail_rna_total").Value();
+  return c;
+}
+
+TEST_F(StoreQueryTest, CandidateOutcomesPartitionEveryPath) {
+  const core::BlockingIndex index(merged_, {});
+  auto snap = store_->Snapshot();
+  using Run = std::function<Result<core::QueryResult>(
+      const traj::Trajectory&, core::Matcher)>;
+  const std::vector<std::pair<std::string, Run>> paths = {
+      {"serial engine",
+       [&](const traj::Trajectory& q, core::Matcher m) {
+         return engine_->Query(q, merged_, m, 1);
+       }},
+      {"parallel engine",
+       [&](const traj::Trajectory& q, core::Matcher m) {
+         return engine_->Query(q, merged_, m, 4);
+       }},
+      {"guaranteed blocking",
+       [&](const traj::Trajectory& q, core::Matcher m) {
+         return engine_->QueryBlocked(q, merged_, index,
+                                      core::BlockingMode::kGuaranteed, m);
+       }},
+      {"store snapshot",
+       [&](const traj::Trajectory& q, core::Matcher m) {
+         return snap->Query(*engine_, q, m, nullptr);
+       }},
+      {"parallel store snapshot",
+       [&](const traj::Trajectory& q, core::Matcher m) {
+         return snap->Query(*engine_, q, m, nullptr, 4);
+       }},
+  };
+  for (core::Matcher matcher :
+       {core::Matcher::kNaiveBayes, core::Matcher::kAlphaFilter}) {
+    const bool nb = matcher == core::Matcher::kNaiveBayes;
+    for (const auto& [name, run] : paths) {
+      const std::string where = name + (nb ? ", nb" : ", alpha");
+      const OutcomeCounts before = ReadOutcomeCounts();
+      int64_t evaluated = 0;
+      for (const traj::Trajectory& q : p_) {
+        auto r = run(q, matcher);
+        ASSERT_TRUE(r.ok()) << where << ": " << r.status().ToString();
+        evaluated += static_cast<int64_t>(r.value().evaluated);
+      }
+      const OutcomeCounts after = ReadOutcomeCounts();
+      const int64_t candidates = after.candidates - before.candidates;
+      const int64_t fast = after.fast_reject - before.fast_reject;
+      const int64_t nb_rejects = after.nb_reject - before.nb_reject;
+      const int64_t exact = after.tail_exact - before.tail_exact;
+      const int64_t rna = after.tail_rna - before.tail_rna;
+      EXPECT_GT(candidates, 0) << where;
+      EXPECT_EQ(candidates, evaluated) << where;
+      EXPECT_EQ(fast + nb_rejects + exact + rna, candidates) << where;
+      // Each matcher rejects through its own outcome only.
+      EXPECT_EQ(nb ? fast : nb_rejects, 0) << where;
+      EXPECT_GT(nb ? nb_rejects : fast, 0) << where;
     }
   }
 }
