@@ -21,10 +21,10 @@ namespace {
 /// tallies. Power of two so the modulo is a mask.
 constexpr uint32_t kStageSampleEvery = 64;
 
-/// Candidates per ScorePairBatch call on the unlimited query paths:
-/// large enough to amortize per-batch setup (classifier views, metric
-/// handles, SIMD dispatch) to noise, small enough that the stack
-/// staging arrays stay cache-resident.
+/// Candidates per ScorePairBatch call: large enough to amortize
+/// per-batch setup (classifier views) to noise, small enough that the
+/// staging arrays stay cache-resident. A serial run with limits also
+/// ends a batch at every check_every boundary.
 constexpr size_t kScoreBatchSize = 64;
 
 /// Named obs handles, resolved once per process (registry lookups are
@@ -39,7 +39,6 @@ struct EngineMetrics {
   obs::Counter* nb_rejects;
   obs::Counter* exact_tails;
   obs::Counter* rna_tails;
-  obs::Counter* batch_pairs;
   obs::Histogram* query_latency_us;
   obs::Histogram* stage_alignment_ns;
   obs::Histogram* stage_bucketing_ns;
@@ -62,7 +61,6 @@ const EngineMetrics& Metrics() {
     em.nb_rejects = &r.GetCounter("ftl_query_nb_reject_total");
     em.exact_tails = &r.GetCounter("ftl_query_tail_exact_total");
     em.rna_tails = &r.GetCounter("ftl_query_tail_rna_total");
-    em.batch_pairs = &r.GetCounter("ftl_score_batch_pairs_total");
     em.query_latency_us = &r.GetHistogram("ftl_query_latency_us");
     em.stage_alignment_ns = &r.GetHistogram("ftl_stage_alignment_ns");
     em.stage_bucketing_ns = &r.GetHistogram("ftl_stage_bucketing_ns");
@@ -74,6 +72,13 @@ const EngineMetrics& Metrics() {
 }
 
 }  // namespace
+
+Result<Matcher> ParseMatcher(std::string_view name) {
+  if (name == "nb") return Matcher::kNaiveBayes;
+  if (name == "alpha") return Matcher::kAlphaFilter;
+  return Status::InvalidArgument("unknown matcher '" + std::string(name) +
+                                 "' (expected nb | alpha)");
+}
 
 Status QueryOptions::Check() const {
   if (cancel.cancel_requested()) {
@@ -283,29 +288,14 @@ bool FtlEngine::ScoreOne(const QueryT& query, const CandT& cand,
   return false;
 }
 
-template <typename QueryT, typename CandT>
-bool FtlEngine::ScorePair(const QueryT& query, const CandT& cand,
-                          Matcher matcher, MatchCandidate* out,
-                          ScoreScratch* scratch) const {
-  // The alpha filter view is a thin model wrapper; constructing it per
-  // pair is cheap, just not free — the batch entry point below hoists
-  // it once per kScoreBatchSize pairs instead.
-  const EvidenceOptions ev_opts = evidence_options();
-  const AlphaFilter filter(models_, options_.alpha);
-  return ScoreOne(query, cand, matcher, ev_opts, filter, out, scratch);
-}
-
 template <typename QueryT, typename DbT>
-size_t FtlEngine::ScorePairBatch(const QueryT& query, const DbT& db,
-                                 const size_t* indices, size_t n,
-                                 Matcher matcher, MatchCandidate* out,
-                                 uint8_t* accepted,
-                                 ScoreScratch* scratch) const {
+void FtlEngine::ScorePairBatch(const QueryT& query, const DbT& db,
+                               const size_t* indices, size_t n,
+                               Matcher matcher, MatchCandidate* out,
+                               uint8_t* accepted,
+                               ScoreScratch* scratch) const {
   const EvidenceOptions ev_opts = evidence_options();
   const AlphaFilter filter(models_, options_.alpha);
-  const EngineMetrics& em = Metrics();
-  em.batch_pairs->Add(static_cast<int64_t>(n));
-  size_t n_accepted = 0;
   for (size_t b = 0; b < n; ++b) {
     // Reset the slot (the staging arrays are reused across batches and
     // accepted candidates are moved out of them).
@@ -313,12 +303,9 @@ size_t FtlEngine::ScorePairBatch(const QueryT& query, const DbT& db,
     out[b].index = indices[b];
     auto&& cand = db[indices[b]];
     if (b + 1 < n) PrefetchCandidate(db[indices[b + 1]]);
-    bool acc =
+    accepted[b] =
         ScoreOne(query, cand, matcher, ev_opts, filter, &out[b], scratch);
-    accepted[b] = acc ? 1 : 0;
-    n_accepted += acc ? 1 : 0;
   }
-  return n_accepted;
 }
 
 template <typename QueryT, typename DbT>
@@ -327,6 +314,9 @@ Result<QueryResult> FtlEngine::QueryImpl(
     const std::vector<size_t>* candidate_indices, Matcher matcher,
     size_t num_threads, ScoreScratch* scratch,
     const QueryOptions* qopts) const {
+  if (!trained_) {
+    return Status::FailedPrecondition("FtlEngine query before Train");
+  }
   if (db.empty()) {
     return Status::InvalidArgument("candidate database is empty");
   }
@@ -350,12 +340,10 @@ Result<QueryResult> FtlEngine::QueryImpl(
            !options_.evaluate_non_overlapping &&
            traj::TimeSpanOverlapSeconds(query, cand) == 0;
   };
-  size_t check_every =
-      qopts != nullptr ? std::max<size_t>(1, qopts->check_every) : 0;
 
   // One query-level stopwatch plus a per-scratch tally flush is the
   // whole per-query metrics cost; per-pair accounting lives in
-  // ScorePair as local integer increments.
+  // ScoreOne as local integer increments.
   Stopwatch query_sw;
   auto flush_tally = [](ScoreScratch* s) {
     if (s->n_candidates == 0) return;
@@ -372,150 +360,104 @@ Result<QueryResult> FtlEngine::QueryImpl(
     s->n_rna_tail = 0;
   };
 
+  // The scoring loop: streams positions [begin, end) of the evaluation
+  // order through ScorePairBatch, kScoreBatchSize at a time, and hands
+  // every scored candidate to emit(position, result, accepted). A hard
+  // injected fault (unlike a fired limit) stops the range and is
+  // returned.
+  auto score_range = [&](ScoreScratch* s, size_t begin, size_t end,
+                         auto&& emit) -> Status {
+    size_t idxbuf[kScoreBatchSize];
+    size_t posbuf[kScoreBatchSize];
+    uint8_t accbuf[kScoreBatchSize];
+    s->batch.resize(kScoreBatchSize);
+    size_t i = begin;
+    while (i < end) {
+      size_t nb = 0;
+      for (; i < end && nb < kScoreBatchSize; ++i) {
+        FTL_FAILPOINT("core.query.candidate");
+        size_t idx = candidate_at(i);
+        // `auto&&` so the by-value views of a FlatDatabase get lifetime
+        // extension while TrajectoryDatabase still binds by reference.
+        auto&& cand = db[idx];
+        if (skip(cand)) continue;
+        idxbuf[nb] = idx;
+        posbuf[nb] = i;
+        ++nb;
+      }
+      ScorePairBatch(query, db, idxbuf, nb, matcher, s->batch.data(), accbuf,
+                     s);
+      for (size_t b = 0; b < nb; ++b) {
+        emit(posbuf[b], s->batch[b], accbuf[b] != 0);
+      }
+    }
+    return Status::OK();
+  };
+
   QueryResult result;
   result.evaluated = m;
   size_t workers = ParallelWorkerCount(m, num_threads);
   if (workers <= 1) {
     ScoreScratch local;
     ScoreScratch* s = scratch != nullptr ? scratch : &local;
-    if (qopts == nullptr) {
-      // Unlimited serial path: stream candidates through the batch
-      // entry point, kScoreBatchSize at a time. Evaluation order is
-      // unchanged, so results are byte-identical to the per-pair loop.
-      size_t idxbuf[kScoreBatchSize];
-      uint8_t accbuf[kScoreBatchSize];
-      std::vector<MatchCandidate> mcbuf(kScoreBatchSize);
-      size_t i = 0;
-      while (i < m) {
-        size_t nb = 0;
-        while (i < m && nb < kScoreBatchSize) {
-          // A hard injected fault (unlike a fired limit) fails the
-          // query.
-          FTL_FAILPOINT("core.query.candidate");
-          size_t idx = candidate_at(i);
-          // `auto&&` so the by-value views of a FlatDatabase get
-          // lifetime extension while TrajectoryDatabase still binds by
-          // reference.
-          auto&& cand = db[idx];
-          if (!skip(cand)) idxbuf[nb++] = idx;
-          ++i;
-        }
-        if (nb == 0) continue;
-        ScorePairBatch(query, db, idxbuf, nb, matcher, mcbuf.data(), accbuf,
-                       s);
-        for (size_t b = 0; b < nb; ++b) {
-          if (!accbuf[b]) continue;
-          mcbuf[b].label = db[mcbuf[b].index].label();
-          result.candidates.push_back(std::move(mcbuf[b]));
+    // Limits are polled before every check_every-candidate range, so a
+    // fired limit truncates at a range boundary.
+    const size_t step =
+        qopts != nullptr ? std::max<size_t>(1, qopts->check_every) : m;
+    auto collect = [&](size_t /*pos*/, MatchCandidate& mc, bool accepted) {
+      if (!accepted) return;
+      mc.label = db[mc.index].label();
+      result.candidates.push_back(std::move(mc));
+    };
+    for (size_t begin = 0; begin < m; begin += step) {
+      if (qopts != nullptr) {
+        Status limit = qopts->Check();
+        if (!limit.ok()) {
+          result.truncated = true;
+          result.status = std::move(limit);
+          result.evaluated = begin;
+          break;
         }
       }
-    } else {
-      // Limit-polling path: per-pair scoring so a fired deadline or
-      // cancellation truncates within check_every candidates.
-      for (size_t i = 0; i < m; ++i) {
-        if (i % check_every == 0) {
-          Status limit = qopts->Check();
-          if (!limit.ok()) {
-            result.truncated = true;
-            result.status = std::move(limit);
-            result.evaluated = i;
-            break;
-          }
-        }
-        FTL_FAILPOINT("core.query.candidate");
-        size_t idx = candidate_at(i);
-        auto&& cand = db[idx];
-        if (skip(cand)) continue;
-        MatchCandidate mc;
-        mc.index = idx;
-        if (ScorePair(query, cand, matcher, &mc, s)) {
-          mc.label = cand.label();
-          result.candidates.push_back(std::move(mc));
-        }
-      }
+      FTL_RETURN_NOT_OK(
+          score_range(s, begin, std::min(m, begin + step), collect));
     }
     flush_tally(s);
   } else {
     // Score into a per-candidate staging area, then collect accepted
-    // candidates in index order — byte-identical to the serial loop,
-    // regardless of chunk interleaving. With limits in play, chunks
-    // are claimed monotonically and every claimed chunk completes, so
-    // the evaluated candidates always form a contiguous prefix.
+    // candidates in evaluation order — byte-identical to the serial
+    // loop, regardless of chunk interleaving. Limits are polled once
+    // per chunk claim; chunks are claimed monotonically and every
+    // claimed chunk completes, so the evaluated candidates always form
+    // a contiguous prefix.
     std::vector<MatchCandidate> staged(m);
     std::vector<uint8_t> accepted(m, 0);
     std::vector<ScoreScratch> scratches(workers);
-    std::mutex fail_mu;
+    std::mutex status_mu;
     Status limit_status;
     Status fail_status;
     std::atomic<bool> failed{false};
-    auto check_failpoint = [&]() {
-      if (!failpoint::AnyArmed()) return true;
-      Status fp = failpoint::Check("core.query.candidate");
-      if (fp.ok()) return true;
-      std::lock_guard<std::mutex> lock(fail_mu);
-      if (fail_status.ok()) fail_status = std::move(fp);
-      failed.store(true, std::memory_order_relaxed);
-      return false;
+    auto stop = [&]() {
+      if (failed.load(std::memory_order_relaxed)) return true;
+      if (qopts == nullptr) return false;
+      Status limit = qopts->Check();
+      if (limit.ok()) return false;
+      std::lock_guard<std::mutex> lock(status_mu);
+      if (limit_status.ok()) limit_status = std::move(limit);
+      return true;
     };
-    // Unlimited chunks run through the batch entry point (positions
-    // are staged alongside indices so skipped candidates do not shift
-    // the output slots); the limit-polling variant stays per-pair.
-    auto worker_batch_fn = [&](size_t worker, size_t begin, size_t end) {
-      ScoreScratch& s = scratches[worker];
-      size_t idxbuf[kScoreBatchSize];
-      size_t posbuf[kScoreBatchSize];
-      uint8_t accbuf[kScoreBatchSize];
-      std::vector<MatchCandidate> mcbuf(kScoreBatchSize);
-      size_t i = begin;
-      while (i < end) {
-        size_t nb = 0;
-        while (i < end && nb < kScoreBatchSize) {
-          if (failed.load(std::memory_order_relaxed)) return;
-          if (!check_failpoint()) return;
-          size_t idx = candidate_at(i);
-          auto&& cand = db[idx];
-          if (!skip(cand)) {
-            idxbuf[nb] = idx;
-            posbuf[nb] = i;
-            ++nb;
-          }
-          ++i;
-        }
-        if (nb == 0) continue;
-        ScorePairBatch(query, db, idxbuf, nb, matcher, mcbuf.data(), accbuf,
-                       &s);
-        for (size_t b = 0; b < nb; ++b) {
-          staged[posbuf[b]] = std::move(mcbuf[b]);
-          accepted[posbuf[b]] = accbuf[b];
-        }
-      }
+    auto stage = [&](size_t pos, MatchCandidate& mc, bool acc) {
+      staged[pos] = std::move(mc);
+      accepted[pos] = acc ? 1 : 0;
     };
-    auto worker_fn = [&](size_t worker, size_t begin, size_t end) {
-      ScoreScratch& s = scratches[worker];
-      for (size_t i = begin; i < end; ++i) {
-        if (failed.load(std::memory_order_relaxed)) return;
-        if (!check_failpoint()) return;
-        size_t idx = candidate_at(i);
-        auto&& cand = db[idx];
-        if (skip(cand)) continue;
-        staged[i].index = idx;
-        accepted[i] = ScorePair(query, cand, matcher, &staged[i], &s) ? 1 : 0;
-      }
-    };
-    size_t evaluated = m;
-    if (qopts == nullptr) {
-      ParallelForWorkers(m, num_threads, worker_batch_fn);
-    } else {
-      auto stop = [&]() {
-        if (failed.load(std::memory_order_relaxed)) return true;
-        Status limit = qopts->Check();
-        if (limit.ok()) return false;
-        std::lock_guard<std::mutex> lock(fail_mu);
-        if (limit_status.ok()) limit_status = std::move(limit);
-        return true;
-      };
-      evaluated = ParallelForWorkers(m, num_threads, stop, worker_fn);
-    }
+    const size_t evaluated = ParallelForWorkers(
+        m, num_threads, stop, [&](size_t worker, size_t begin, size_t end) {
+          Status st = score_range(&scratches[worker], begin, end, stage);
+          if (st.ok()) return;
+          std::lock_guard<std::mutex> lock(status_mu);
+          if (fail_status.ok()) fail_status = std::move(st);
+          failed.store(true, std::memory_order_relaxed);
+        });
     for (ScoreScratch& s : scratches) flush_tally(&s);
     if (failed.load(std::memory_order_relaxed)) return fail_status;
     if (!limit_status.ok()) {
@@ -550,102 +492,25 @@ Result<QueryResult> FtlEngine::QueryImpl(
 
 Result<QueryResult> FtlEngine::Query(const traj::Trajectory& query,
                                      const traj::TrajectoryDatabase& db,
-                                     Matcher matcher) const {
-  return Query(query, db, matcher, options_.num_threads);
+                                     Matcher matcher,
+                                     const QueryOptions* qopts) const {
+  return QueryImpl(query, db, nullptr, matcher, options_.num_threads, nullptr,
+                   qopts);
+}
+
+Result<QueryResult> FtlEngine::Query(const traj::FlatTrajectoryView& query,
+                                     const traj::FlatDatabase& db,
+                                     Matcher matcher,
+                                     const QueryOptions* qopts) const {
+  return QueryImpl(query, db, nullptr, matcher, options_.num_threads, nullptr,
+                   qopts);
 }
 
 Result<QueryResult> FtlEngine::Query(const traj::Trajectory& query,
                                      const traj::TrajectoryDatabase& db,
                                      Matcher matcher,
                                      size_t num_threads) const {
-  if (!trained_) {
-    return Status::FailedPrecondition("FtlEngine::Query before Train");
-  }
   return QueryImpl(query, db, nullptr, matcher, num_threads, nullptr, nullptr);
-}
-
-Result<QueryResult> FtlEngine::Query(const traj::Trajectory& query,
-                                     const traj::TrajectoryDatabase& db,
-                                     Matcher matcher,
-                                     const QueryOptions& qopts) const {
-  if (!trained_) {
-    return Status::FailedPrecondition("FtlEngine::Query before Train");
-  }
-  return QueryImpl(query, db, nullptr, matcher, options_.num_threads, nullptr,
-                   &qopts);
-}
-
-Result<QueryResult> FtlEngine::Query(const traj::FlatTrajectoryView& query,
-                                     const traj::FlatDatabase& db,
-                                     Matcher matcher) const {
-  return Query(query, db, matcher, options_.num_threads);
-}
-
-Result<QueryResult> FtlEngine::Query(const traj::FlatTrajectoryView& query,
-                                     const traj::FlatDatabase& db,
-                                     Matcher matcher,
-                                     size_t num_threads) const {
-  if (!trained_) {
-    return Status::FailedPrecondition("FtlEngine::Query before Train");
-  }
-  return QueryImpl(query, db, nullptr, matcher, num_threads, nullptr, nullptr);
-}
-
-Result<QueryResult> FtlEngine::Query(const traj::FlatTrajectoryView& query,
-                                     const traj::FlatDatabase& db,
-                                     Matcher matcher,
-                                     const QueryOptions& qopts) const {
-  if (!trained_) {
-    return Status::FailedPrecondition("FtlEngine::Query before Train");
-  }
-  return QueryImpl(query, db, nullptr, matcher, options_.num_threads, nullptr,
-                   &qopts);
-}
-
-Result<QueryResult> FtlEngine::QueryWithCandidates(
-    const traj::Trajectory& query, const traj::TrajectoryDatabase& db,
-    const std::vector<size_t>& candidate_indices, Matcher matcher) const {
-  if (!trained_) {
-    return Status::FailedPrecondition(
-        "FtlEngine::QueryWithCandidates before Train");
-  }
-  return QueryImpl(query, db, &candidate_indices, matcher,
-                   options_.num_threads, nullptr, nullptr);
-}
-
-Result<QueryResult> FtlEngine::QueryWithCandidates(
-    const traj::Trajectory& query, const traj::TrajectoryDatabase& db,
-    const std::vector<size_t>& candidate_indices, Matcher matcher,
-    const QueryOptions& qopts) const {
-  if (!trained_) {
-    return Status::FailedPrecondition(
-        "FtlEngine::QueryWithCandidates before Train");
-  }
-  return QueryImpl(query, db, &candidate_indices, matcher,
-                   options_.num_threads, nullptr, &qopts);
-}
-
-Result<QueryResult> FtlEngine::QueryWithCandidates(
-    const traj::FlatTrajectoryView& query, const traj::FlatDatabase& db,
-    const std::vector<size_t>& candidate_indices, Matcher matcher) const {
-  if (!trained_) {
-    return Status::FailedPrecondition(
-        "FtlEngine::QueryWithCandidates before Train");
-  }
-  return QueryImpl(query, db, &candidate_indices, matcher,
-                   options_.num_threads, nullptr, nullptr);
-}
-
-Result<QueryResult> FtlEngine::QueryWithCandidates(
-    const traj::FlatTrajectoryView& query, const traj::FlatDatabase& db,
-    const std::vector<size_t>& candidate_indices, Matcher matcher,
-    const QueryOptions& qopts) const {
-  if (!trained_) {
-    return Status::FailedPrecondition(
-        "FtlEngine::QueryWithCandidates before Train");
-  }
-  return QueryImpl(query, db, &candidate_indices, matcher,
-                   options_.num_threads, nullptr, &qopts);
 }
 
 struct QueryScratch::Impl {
@@ -661,10 +526,6 @@ Result<QueryResult> FtlEngine::QueryWithCandidates(
     const traj::Trajectory& query, const traj::TrajectoryDatabase& db,
     const std::vector<size_t>& candidate_indices, Matcher matcher,
     const QueryOptions* qopts, QueryScratch* scratch) const {
-  if (!trained_) {
-    return Status::FailedPrecondition(
-        "FtlEngine::QueryWithCandidates before Train");
-  }
   return QueryImpl(query, db, &candidate_indices, matcher, /*num_threads=*/1,
                    scratch != nullptr ? &scratch->impl_->scratch : nullptr,
                    qopts);
@@ -674,10 +535,6 @@ Result<QueryResult> FtlEngine::QueryWithCandidates(
     const traj::FlatTrajectoryView& query, const traj::FlatDatabase& db,
     const std::vector<size_t>& candidate_indices, Matcher matcher,
     const QueryOptions* qopts, QueryScratch* scratch) const {
-  if (!trained_) {
-    return Status::FailedPrecondition(
-        "FtlEngine::QueryWithCandidates before Train");
-  }
   return QueryImpl(query, db, &candidate_indices, matcher, /*num_threads=*/1,
                    scratch != nullptr ? &scratch->impl_->scratch : nullptr,
                    qopts);
@@ -809,7 +666,8 @@ Result<QueryResult> FtlEngine::QueryBlocked(
 
 Result<std::vector<QueryResult>> FtlEngine::BatchQuery(
     const std::vector<traj::Trajectory>& queries,
-    const traj::TrajectoryDatabase& db, Matcher matcher) const {
+    const traj::TrajectoryDatabase& db, Matcher matcher,
+    const QueryOptions* qopts) const {
   if (!trained_) {
     return Status::FailedPrecondition("FtlEngine::BatchQuery before Train");
   }
@@ -823,63 +681,11 @@ Result<std::vector<QueryResult>> FtlEngine::BatchQuery(
       queries.size(), options_.num_threads,
       [&](size_t worker, size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) {
-          auto r = QueryImpl(queries[i], db, nullptr, matcher, 1,
-                             &scratches[worker], nullptr);
-          if (r.ok()) {
-            results[i] = std::move(r).value();
-          } else {
-            statuses[i] = r.status();
-          }
-        }
-      });
-  // Aggregate every failure instead of silently dropping all but the
-  // first: a batch over a mixed workload should report the full damage.
-  size_t failures = 0;
-  std::string detail;
-  StatusCode first_code = StatusCode::kInternal;
-  constexpr size_t kMaxDetailed = 8;
-  for (size_t i = 0; i < statuses.size(); ++i) {
-    if (statuses[i].ok()) continue;
-    if (failures == 0) first_code = statuses[i].code();
-    if (failures < kMaxDetailed) {
-      detail += "; query " + std::to_string(i) + ": " +
-                statuses[i].ToString();
-    }
-    ++failures;
-  }
-  if (failures > 0) {
-    std::string msg = "BatchQuery: " + std::to_string(failures) + " of " +
-                      std::to_string(queries.size()) + " queries failed" +
-                      detail;
-    if (failures > kMaxDetailed) {
-      msg += "; (" + std::to_string(failures - kMaxDetailed) +
-             " more not shown)";
-    }
-    return Status(first_code, std::move(msg));
-  }
-  return results;
-}
-
-Result<std::vector<QueryResult>> FtlEngine::BatchQuery(
-    const std::vector<traj::Trajectory>& queries,
-    const traj::TrajectoryDatabase& db, Matcher matcher,
-    const QueryOptions& qopts) const {
-  if (!trained_) {
-    return Status::FailedPrecondition("FtlEngine::BatchQuery before Train");
-  }
-  std::vector<QueryResult> results(queries.size());
-  std::vector<Status> statuses(queries.size());
-  size_t workers = ParallelWorkerCount(queries.size(), options_.num_threads);
-  std::vector<ScoreScratch> scratches(workers);
-  ParallelForWorkers(
-      queries.size(), options_.num_threads,
-      [&](size_t worker, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
           // Cheap pre-check: once the shared limit fires, the queries
           // that have not started get an empty truncated result
           // instead of spinning up just to stop at their first
           // candidate.
-          Status limit = qopts.Check();
+          Status limit = qopts != nullptr ? qopts->Check() : Status::OK();
           if (!limit.ok()) {
             results[i].truncated = true;
             results[i].status = std::move(limit);
@@ -887,7 +693,7 @@ Result<std::vector<QueryResult>> FtlEngine::BatchQuery(
             continue;
           }
           auto r = QueryImpl(queries[i], db, nullptr, matcher, 1,
-                             &scratches[worker], &qopts);
+                             &scratches[worker], qopts);
           if (r.ok()) {
             results[i] = std::move(r).value();
           } else {
@@ -896,8 +702,9 @@ Result<std::vector<QueryResult>> FtlEngine::BatchQuery(
         }
       });
   // A fired limit is reported per query (truncated results above), so
-  // only hard errors fail the batch — same aggregation as the
-  // unlimited overload.
+  // only hard errors fail the batch. Aggregate every failure instead of
+  // silently dropping all but the first: a batch over a mixed workload
+  // should report the full damage.
   size_t failures = 0;
   std::string detail;
   StatusCode first_code = StatusCode::kInternal;

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/alpha_filter.h"
@@ -29,6 +30,10 @@ enum class Matcher {
   kAlphaFilter,  ///< (α1, α2)-filtering, hypothesis testing
   kNaiveBayes,   ///< Naïve-Bayes-matching
 };
+
+/// Parses a matcher name ("nb" or "alpha", as on the CLI and in the
+/// serve API); InvalidArgument on anything else.
+Result<Matcher> ParseMatcher(std::string_view name);
 
 /// One returned candidate, with everything needed for ranking and
 /// diagnostics.
@@ -68,9 +73,10 @@ struct QueryResult {
 
 /// Per-query limits, all optional and inert by default: a
 /// default-constructed QueryOptions never reads the clock and adds no
-/// observable behavior. Checked cooperatively between candidates, so a
-/// query stops within `check_every` candidate evaluations of the
-/// deadline or cancellation signal.
+/// observable behavior. Checked cooperatively between candidates: a
+/// serial query polls them every `check_every` candidates, a parallel
+/// one once per chunk claim, so the evaluated candidates always form a
+/// prefix of the evaluation order.
 struct QueryOptions {
   /// Stop scoring once this deadline passes; the partial result is
   /// returned with truncated=true and status kDeadlineExceeded.
@@ -81,8 +87,8 @@ struct QueryOptions {
   /// deadline when both fire.
   CancelToken cancel;
 
-  /// How many candidates to score between checks. Smaller = tighter
-  /// latency bound, larger = less checking overhead.
+  /// How many candidates a serial query scores between checks.
+  /// Smaller = tighter latency bound, larger = less checking overhead.
   size_t check_every = 16;
 
   /// kCancelled if cancellation was requested, kDeadlineExceeded if
@@ -161,41 +167,32 @@ class FtlEngine {
   /// matcher; candidates are ranked by non-increasing Eq. 2 score.
   /// For kAlphaFilter, a candidate enters Q_P iff it passes both phases;
   /// for kNaiveBayes, iff the posterior favors "same person". In both
-  /// cases p1/p2/score are computed for ranking.
+  /// cases p1/p2/score are computed for ranking. Runs on
+  /// options().num_threads workers; results are identical for any
+  /// thread count. `qopts` (may be null) carries a deadline /
+  /// cancellation token: when a limit fires the result is still OK, and
+  /// carries the candidates scored so far with truncated=true and a
+  /// status explaining why.
   Result<QueryResult> Query(const traj::Trajectory& query,
                             const traj::TrajectoryDatabase& db,
-                            Matcher matcher) const;
+                            Matcher matcher,
+                            const QueryOptions* qopts = nullptr) const;
 
-  /// Like Query, but with an explicit worker-thread override. Callers
-  /// that already parallelize at a coarser grain (BatchQuery across
-  /// queries, ShardedEngine across shards) pass 1 to keep the inner
-  /// loop serial instead of oversubscribing. Results are identical for
-  /// any thread count.
-  Result<QueryResult> Query(const traj::Trajectory& query,
-                            const traj::TrajectoryDatabase& db,
-                            Matcher matcher, size_t num_threads) const;
-
-  /// Like Query, but honoring a deadline / cancellation token. When a
-  /// limit fires the result is still OK: it carries the candidates
-  /// scored so far with truncated=true and a status explaining why.
-  Result<QueryResult> Query(const traj::Trajectory& query,
-                            const traj::TrajectoryDatabase& db,
-                            Matcher matcher, const QueryOptions& qopts) const;
-
-  /// Columnar (SoA) overloads: score against a FlatDatabase, streaming
+  /// Columnar (SoA) form: scores against a FlatDatabase, streaming
   /// candidate records straight out of its contiguous columns (e.g. an
   /// mmap'd FTB file) with no per-record indirection. The evidence
   /// kernel is shared with the AoS path, so for equal record data the
-  /// results are byte-identical to the TrajectoryDatabase overloads.
-  Result<QueryResult> Query(const traj::FlatTrajectoryView& query,
-                            const traj::FlatDatabase& db,
-                            Matcher matcher) const;
+  /// results are byte-identical to the TrajectoryDatabase form.
   Result<QueryResult> Query(const traj::FlatTrajectoryView& query,
                             const traj::FlatDatabase& db, Matcher matcher,
-                            size_t num_threads) const;
-  Result<QueryResult> Query(const traj::FlatTrajectoryView& query,
-                            const traj::FlatDatabase& db, Matcher matcher,
-                            const QueryOptions& qopts) const;
+                            const QueryOptions* qopts = nullptr) const;
+
+  /// Like Query, but with an explicit worker-thread override and no
+  /// limits. Callers that already parallelize at a coarser grain pass
+  /// 1 to keep the inner loop serial instead of oversubscribing.
+  Result<QueryResult> Query(const traj::Trajectory& query,
+                            const traj::TrajectoryDatabase& db,
+                            Matcher matcher, size_t num_threads) const;
 
   /// Like Query, but only evaluates the candidates at `candidate_indices`
   /// (e.g. the survivors of a BlockingIndex, or one sub-range of a
@@ -204,35 +201,23 @@ class FtlEngine {
   /// order and results are stable-sorted by score, so concatenating
   /// per-range results and re-running the same stable sort reproduces a
   /// whole-database query byte-for-byte (store::StoreSnapshot relies on
-  /// this; DESIGN.md §12).
-  Result<QueryResult> QueryWithCandidates(
-      const traj::Trajectory& query, const traj::TrajectoryDatabase& db,
-      const std::vector<size_t>& candidate_indices, Matcher matcher) const;
-  Result<QueryResult> QueryWithCandidates(
-      const traj::Trajectory& query, const traj::TrajectoryDatabase& db,
-      const std::vector<size_t>& candidate_indices, Matcher matcher,
-      const QueryOptions& qopts) const;
-  Result<QueryResult> QueryWithCandidates(
-      const traj::FlatTrajectoryView& query, const traj::FlatDatabase& db,
-      const std::vector<size_t>& candidate_indices, Matcher matcher) const;
-  Result<QueryResult> QueryWithCandidates(
-      const traj::FlatTrajectoryView& query, const traj::FlatDatabase& db,
-      const std::vector<size_t>& candidate_indices, Matcher matcher,
-      const QueryOptions& qopts) const;
-
-  /// Serial QueryWithCandidates with a caller-owned QueryScratch:
-  /// always runs on the calling thread (never the engine pool), so a
+  /// this; DESIGN.md §12). A fired limit truncates to a prefix of
+  /// `candidate_indices`.
+  ///
+  /// Always serial on the calling thread (never the engine pool), so a
   /// caller that shards candidates across its own workers — one
-  /// scratch per worker — composes sub-results without oversubscribing
-  /// threads. `qopts` and `scratch` may each be null.
+  /// `scratch` per worker — composes sub-results without
+  /// oversubscribing threads. `qopts` and `scratch` may each be null.
   Result<QueryResult> QueryWithCandidates(
       const traj::Trajectory& query, const traj::TrajectoryDatabase& db,
       const std::vector<size_t>& candidate_indices, Matcher matcher,
-      const QueryOptions* qopts, QueryScratch* scratch) const;
+      const QueryOptions* qopts = nullptr,
+      QueryScratch* scratch = nullptr) const;
   Result<QueryResult> QueryWithCandidates(
       const traj::FlatTrajectoryView& query, const traj::FlatDatabase& db,
       const std::vector<size_t>& candidate_indices, Matcher matcher,
-      const QueryOptions* qopts, QueryScratch* scratch) const;
+      const QueryOptions* qopts = nullptr,
+      QueryScratch* scratch = nullptr) const;
 
   /// Derives the accept-preserving blocking contract for `matcher`
   /// from the trained models (requires trained()): `horizon_seconds`
@@ -273,19 +258,15 @@ class FtlEngine {
 
   /// Answers many queries, optionally in parallel
   /// (options.num_threads > 1). Results align with `queries` order.
-  Result<std::vector<QueryResult>> BatchQuery(
-      const std::vector<traj::Trajectory>& queries,
-      const traj::TrajectoryDatabase& db, Matcher matcher) const;
-
-  /// Like BatchQuery, but with a shared deadline / cancellation token.
-  /// A fired limit never fails the batch: queries that started return
-  /// their partial result (truncated=true), queries that had not
-  /// started return an empty truncated result, and each carries its
-  /// own status. Hard per-query errors still fail the batch.
+  /// `qopts` (may be null) is a deadline / cancellation token shared by
+  /// the batch. A fired limit never fails the batch: queries that
+  /// started return their partial result (truncated=true), queries that
+  /// had not started return an empty truncated result, and each carries
+  /// its own status. Hard per-query errors still fail the batch.
   Result<std::vector<QueryResult>> BatchQuery(
       const std::vector<traj::Trajectory>& queries,
       const traj::TrajectoryDatabase& db, Matcher matcher,
-      const QueryOptions& qopts) const;
+      const QueryOptions* qopts = nullptr) const;
 
   const EngineOptions& options() const { return options_; }
 
@@ -293,9 +274,10 @@ class FtlEngine {
   friend class QueryScratch;  // wraps ScoreScratch for external callers
 
   /// Per-thread scratch arena for the scoring hot path: evidence
-  /// buffers, trial groups and pmf workspaces are reused across pairs
-  /// instead of reallocated, so steady-state scoring is allocation
-  /// free. One instance per worker thread; never shared concurrently.
+  /// buffers, trial groups, pmf workspaces and the batch staging slots
+  /// are reused across pairs instead of reallocated, so steady-state
+  /// scoring is allocation free. One instance per worker thread; never
+  /// shared concurrently.
   struct ScoreScratch {
     BucketEvidence evidence;
     stats::GroupedPbWorkspace pb;
@@ -303,6 +285,9 @@ class FtlEngine {
     /// Segment staging buffers of the vector evidence kernels
     /// (simd/kernels.h); unused (but harmless) under scalar dispatch.
     simd::EvidenceScratch ev_scratch;
+
+    /// Per-slot results of one ScorePairBatch call.
+    std::vector<MatchCandidate> batch;
 
     /// Local metric tallies: plain integers bumped per pair and
     /// flushed to the global obs counters once per query, so the
@@ -323,65 +308,57 @@ class FtlEngine {
   /// Scores one (query, candidate) pair with every per-batch handle
   /// already hoisted by the caller: evidence options and the alpha
   /// filter view (the Naïve-Bayes matcher is the engine's own nb_).
-  /// The innermost unit of both ScorePair and ScorePairBatch; returns
-  /// true when the candidate should enter Q_P. Template over the
-  /// trajectory representation (Trajectory or FlatTrajectoryView); all
+  /// The innermost unit of ScorePairBatch; returns true when the
+  /// candidate should enter Q_P. Template over the trajectory
+  /// representation (Trajectory or FlatTrajectoryView); all
   /// instantiations live in engine.cc.
   template <typename QueryT, typename CandT>
   bool ScoreOne(const QueryT& query, const CandT& cand, Matcher matcher,
                 const EvidenceOptions& ev_opts, const AlphaFilter& filter,
                 MatchCandidate* out, ScoreScratch* scratch) const;
 
-  /// Scores one (query, candidate) pair into `out` using `scratch`;
-  /// returns true when the candidate should enter Q_P. Thin wrapper
-  /// over ScoreOne that sets up the per-batch state for a batch of
-  /// one; kept for the limit-polling query path, which needs per-pair
-  /// granularity.
-  template <typename QueryT, typename CandT>
-  bool ScorePair(const QueryT& query, const CandT& cand, Matcher matcher,
-                 MatchCandidate* out, ScoreScratch* scratch) const;
-
   /// Batch scoring entry point of the hot path: streams the `n`
   /// database candidates listed in `indices` through ScoreOne with
-  /// kernel setup (evidence options, alpha filter view, metric handle
-  /// and SIMD dispatch resolution) hoisted once per batch.
-  /// Writes per-candidate results to out[b] / accepted[b] (parallel to
-  /// `indices`) and returns the number accepted. Candidate evaluation
-  /// order inside the batch is the `indices` order, so results are
-  /// byte-identical to n successive ScorePair calls.
+  /// kernel setup (evidence options, alpha filter view) hoisted once
+  /// per batch. Writes per-candidate results to out[b] / accepted[b]
+  /// (parallel to `indices`). Candidate evaluation order inside the
+  /// batch is the `indices` order.
   template <typename QueryT, typename DbT>
-  size_t ScorePairBatch(const QueryT& query, const DbT& db,
-                        const size_t* indices, size_t n, Matcher matcher,
-                        MatchCandidate* out, uint8_t* accepted,
-                        ScoreScratch* scratch) const;
+  void ScorePairBatch(const QueryT& query, const DbT& db,
+                      const size_t* indices, size_t n, Matcher matcher,
+                      MatchCandidate* out, uint8_t* accepted,
+                      ScoreScratch* scratch) const;
 
-  /// Shared implementation of the public query entry points, template
-  /// over the storage backend: DbT is TrajectoryDatabase (AoS) or
-  /// FlatDatabase (SoA columns), QueryT the matching trajectory type.
-  /// `candidate_indices == nullptr` scores the whole database (and
-  /// applies the evaluate_non_overlapping pre-filter). `scratch` may
-  /// be null (a local one is used) and is only honored when
-  /// num_threads <= 1; parallel runs build one scratch per worker.
-  /// `qopts` may be null (no limits); when set, deadline/cancellation
-  /// are polled every qopts->check_every candidates and a fired limit
-  /// yields an OK partial result with truncated=true. Candidates are
-  /// always evaluated in a stable order and truncation keeps a prefix
-  /// of it, so partial results are reproducible.
-  /// Shared body of the QueryBlocked overloads: candidate generation
-  /// in `mode` followed by QueryImpl over the survivors.
-  template <typename QueryT, typename DbT>
-  Result<QueryResult> QueryBlockedImpl(const QueryT& query, const DbT& db,
-                                       const BlockingIndex& index,
-                                       BlockingMode mode, Matcher matcher,
-                                       BlockingScratch* scratch,
-                                       const QueryOptions* qopts) const;
-
+  /// Shared implementation of every public query entry point (the one
+  /// scoring loop), template over the storage backend: DbT is
+  /// TrajectoryDatabase (AoS) or FlatDatabase (SoA columns), QueryT the
+  /// matching trajectory type. `candidate_indices == nullptr` scores
+  /// the whole database (and applies the evaluate_non_overlapping
+  /// pre-filter). Candidates stream through ScorePairBatch in a stable
+  /// evaluation order: serially on `scratch` (may be null; a local one
+  /// is used) when num_threads <= 1, otherwise in chunks across the
+  /// workers, each with its own scratch, and re-collected in order.
+  /// `qopts` may be null (no limits); when set, a serial run polls it
+  /// every qopts->check_every candidates and a parallel run once per
+  /// chunk claim, and a fired limit yields an OK partial result with
+  /// truncated=true. Truncation always keeps a prefix of the
+  /// evaluation order, so partial results are reproducible.
   template <typename QueryT, typename DbT>
   Result<QueryResult> QueryImpl(const QueryT& query, const DbT& db,
                                 const std::vector<size_t>* candidate_indices,
                                 Matcher matcher, size_t num_threads,
                                 ScoreScratch* scratch,
                                 const QueryOptions* qopts) const;
+
+  /// Shared body of the QueryBlocked overloads: candidate generation
+  /// in `mode` followed by QueryImpl over the survivors on the engine's
+  /// thread pool.
+  template <typename QueryT, typename DbT>
+  Result<QueryResult> QueryBlockedImpl(const QueryT& query, const DbT& db,
+                                       const BlockingIndex& index,
+                                       BlockingMode mode, Matcher matcher,
+                                       BlockingScratch* scratch,
+                                       const QueryOptions* qopts) const;
 
   EngineOptions options_;
   ModelPair models_;

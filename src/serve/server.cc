@@ -90,13 +90,12 @@ Status ParseCommonFields(const io::JsonValue& root,
     if (!m->is_string()) {
       return Status::InvalidArgument("'matcher' must be a string");
     }
-    if (m->AsString() == "nb") {
-      *matcher = core::Matcher::kNaiveBayes;
-    } else if (m->AsString() == "alpha") {
-      *matcher = core::Matcher::kAlphaFilter;
-    } else {
-      return Status::InvalidArgument("'matcher' must be \"nb\" or \"alpha\"");
+    auto parsed = core::ParseMatcher(m->AsString());
+    if (!parsed.ok()) {
+      return Status::InvalidArgument("'matcher': " +
+                                     parsed.status().message());
     }
+    *matcher = parsed.value();
   }
   if (const io::JsonValue* t = root.Find("top")) {
     auto v = t->AsInt64();
@@ -114,6 +113,21 @@ Status ParseCommonFields(const io::JsonValue& root,
     *deadline_ms = v.value();
   }
   return Status::OK();
+}
+
+/// The response for a /v1/query or /v1/rank result, cut to its `top`
+/// candidates (all when negative). A fired deadline still carries its
+/// prefix-consistent partial result; the 408 tells the client it is
+/// partial.
+HttpResponse ResultResponse(const std::string& label,
+                            core::QueryResult result, int64_t top) {
+  if (top >= 0 && result.candidates.size() > static_cast<size_t>(top)) {
+    result.candidates.resize(static_cast<size_t>(top));
+  }
+  HttpResponse resp;
+  resp.status = result.truncated ? HttpStatusForStatus(result.status) : 200;
+  resp.body = io::QueryResultToJson(label, result);
+  return resp;
 }
 
 /// Parses the body of a POST endpoint into its JSON object root.
@@ -459,19 +473,10 @@ HttpResponse FtlServer::HandleQuery(const HttpRequest& req) {
                                    options_.blocking_mode, matcher, nullptr,
                                    &qopts);
     }
-    return engine_->Query((*p_)[idx], *q_, matcher, qopts);
+    return engine_->Query((*p_)[idx], *q_, matcher, &qopts);
   }();
   if (!r.ok()) return ErrorResponse(r.status());
-  core::QueryResult result = std::move(r).value();
-  if (top >= 0 && result.candidates.size() > static_cast<size_t>(top)) {
-    result.candidates.resize(static_cast<size_t>(top));
-  }
-  HttpResponse resp;
-  // A fired deadline still carries its (prefix-consistent) partial
-  // result; the 408 tells the client it is partial.
-  resp.status = result.truncated ? HttpStatusForStatus(result.status) : 200;
-  resp.body = io::QueryResultToJson(label, result);
-  return resp;
+  return ResultResponse(label, std::move(r).value(), top);
 }
 
 HttpResponse FtlServer::HandleRank(const HttpRequest& req) {
@@ -491,7 +496,7 @@ HttpResponse FtlServer::HandleRank(const HttpRequest& req) {
   }
   core::Matcher matcher;
   int64_t top = -1;
-  int64_t deadline_ms = 0;  // rank sets are small; deadlines not applied
+  int64_t deadline_ms = options_.request_deadline_ms;
   Status st = ParseCommonFields(root, options_.default_matcher, &matcher,
                                 &top, &deadline_ms);
   if (!st.ok()) return ErrorResponse(st);
@@ -511,9 +516,12 @@ HttpResponse FtlServer::HandleRank(const HttpRequest& req) {
     }
     labels.push_back(c.AsString());
   }
+  core::QueryOptions qopts;
+  if (deadline_ms > 0) qopts.deadline = Deadline::AfterMillis(deadline_ms);
   auto run = [&]() -> Result<core::QueryResult> {
     if (store_ != nullptr) {
-      return store_->Snapshot()->Rank(*engine_, (*p_)[qidx], labels, matcher);
+      return store_->Snapshot()->Rank(*engine_, (*p_)[qidx], labels, matcher,
+                                      &qopts);
     }
     std::vector<size_t> indices;
     indices.reserve(labels.size());
@@ -524,17 +532,12 @@ HttpResponse FtlServer::HandleRank(const HttpRequest& req) {
       }
       indices.push_back(ci);
     }
-    return engine_->QueryWithCandidates((*p_)[qidx], *q_, indices, matcher);
+    return engine_->QueryWithCandidates((*p_)[qidx], *q_, indices, matcher,
+                                        &qopts);
   };
   auto r = run();
   if (!r.ok()) return ErrorResponse(r.status());
-  core::QueryResult result = std::move(r).value();
-  if (top >= 0 && result.candidates.size() > static_cast<size_t>(top)) {
-    result.candidates.resize(static_cast<size_t>(top));
-  }
-  HttpResponse resp;
-  resp.body = io::QueryResultToJson(label, result);
-  return resp;
+  return ResultResponse(label, std::move(r).value(), top);
 }
 
 HttpResponse FtlServer::HandleIngest(const HttpRequest& req) {

@@ -89,6 +89,14 @@ bool IsStoreFileName(const std::string& name) {
          shaped("compact-", ".tmp") || name == "MANIFEST.tmp";
 }
 
+/// A one-trajectory FlatDatabase holding `t`, so an AoS query can be
+/// scored through the engine's SoA entry point.
+traj::FlatDatabase FlatOf(const traj::Trajectory& t) {
+  traj::TrajectoryDatabase db;
+  (void)db.Add(t);
+  return traj::FlatDatabase::FromDatabase(db);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -103,7 +111,8 @@ std::shared_ptr<const StoreSnapshot> StoreSnapshot::Build(
   snap->segments_ = segments;
   snap->segment_indices_ = std::move(segment_indices);
   snap->blocking_mode_ = blocking_mode;
-  snap->memtable_db_ = memtable.ToDatabase("memtable");
+  snap->memtable_db_ =
+      traj::FlatDatabase::FromDatabase(memtable.ToDatabase("memtable"));
   snap->generation_ = generation;
   snap->version_ = version;
 
@@ -129,30 +138,25 @@ std::shared_ptr<const StoreSnapshot> StoreSnapshot::Build(
     snap->global_of_[source].push_back(it->second);
     snap->total_records_ += records;
   };
-  for (size_t s = 0; s < nseg; ++s) {
-    const traj::FlatDatabase& seg = *segments[s];
-    snap->global_of_[s].reserve(seg.size());
-    for (size_t i = 0; i < seg.size(); ++i) {
-      visit(s, i, std::string(seg.label(i)), seg[i].size());
-    }
-  }
-  {
-    const traj::TrajectoryDatabase& mt = snap->memtable_db_;
-    snap->global_of_[nseg].reserve(mt.size());
-    for (size_t i = 0; i < mt.size(); ++i) {
-      visit(nseg, i, mt[i].label(), mt[i].size());
+  for (size_t s = 0; s < nsources; ++s) {
+    const traj::FlatDatabase& src = snap->source(s);
+    snap->global_of_[s].reserve(src.size());
+    for (size_t i = 0; i < src.size(); ++i) {
+      visit(s, i, std::string(src.label(i)), src[i].size());
     }
   }
 
   // Pass 2: pre-merge every label that spans sources into the overlay
   // database, at its canonical first-appearance position.
   std::vector<size_t> overlay_of_global(snap->canon_.size(), npos);
+  traj::TrajectoryDatabase overlay;
   for (size_t g = 0; g < snap->canon_.size(); ++g) {
     if (snap->canon_[g].contribs.size() <= 1) continue;
     overlay_of_global[g] = snap->overlay_global_.size();
     snap->overlay_global_.push_back(g);
-    (void)snap->overlay_db_.Add(snap->Materialize(g));
+    (void)overlay.Add(snap->Materialize(g));
   }
+  snap->overlay_db_ = traj::FlatDatabase::FromDatabase(overlay);
 
   // Pass 3: per-source query plans. Walking locals in order, shadowed
   // entries (later homes of a multi-source label) are omitted, overlay
@@ -196,10 +200,7 @@ size_t StoreSnapshot::Find(std::string_view label) const {
 
 std::string_view StoreSnapshot::label(size_t g) const {
   const SourceRef& first = canon_[g].contribs.front();
-  if (first.source < segments_.size()) {
-    return segments_[first.source]->label(first.local);
-  }
-  return memtable_db_[first.local].label();
+  return source(first.source).label(first.local);
 }
 
 traj::Trajectory StoreSnapshot::Materialize(size_t g) const {
@@ -208,15 +209,9 @@ traj::Trajectory StoreSnapshot::Materialize(size_t g) const {
   traj::OwnerId owner = traj::kUnknownOwner;
   std::vector<traj::Record> records;
   for (const SourceRef& ref : e.contribs) {
-    if (ref.source < segments_.size()) {
-      traj::FlatTrajectoryView v = (*segments_[ref.source])[ref.local];
-      for (size_t i = 0; i < v.size(); ++i) records.push_back(v[i]);
-      if (owner == traj::kUnknownOwner) owner = v.owner();
-    } else {
-      const traj::Trajectory& t = memtable_db_[ref.local];
-      records.insert(records.end(), t.records().begin(), t.records().end());
-      if (owner == traj::kUnknownOwner) owner = t.owner();
-    }
+    traj::FlatTrajectoryView v = source(ref.source)[ref.local];
+    for (size_t i = 0; i < v.size(); ++i) records.push_back(v[i]);
+    if (owner == traj::kUnknownOwner) owner = v.owner();
   }
   // The Trajectory constructor stable-sorts by time; because each
   // contribution is itself time-sorted and contributions are
@@ -249,12 +244,10 @@ Result<core::QueryResult> StoreSnapshot::Query(
     return Status::InvalidArgument("candidate database is empty");
   }
 
-  // SoA copy of the query, built once and shared by every segment
-  // sub-query (segments score zero-copy off their mmap'd columns).
-  traj::TrajectoryDatabase qwrap;
-  (void)qwrap.Add(query);
-  traj::FlatDatabase qflat = traj::FlatDatabase::FromDatabase(qwrap);
-  traj::FlatTrajectoryView qview = qflat[0];
+  // SoA copy of the query, built once and shared by every sub-query
+  // (segments score zero-copy off their mmap'd columns).
+  const traj::FlatDatabase qflat = FlatOf(query);
+  const traj::FlatTrajectoryView qview = qflat[0];
 
   // Candidate generation: when the snapshot carries per-segment
   // BlockingIndexes, each plain segment run is intersected with the
@@ -374,16 +367,9 @@ Result<core::QueryResult> StoreSnapshot::Query(
                  idx->begin() + static_cast<long>(unit.end));
       idx = &buf;
     }
-    core::QueryScratch* scratch = &scratches[worker];
-    Result<core::QueryResult> r =
-        unit.overlay
-            ? engine.QueryWithCandidates(query, overlay_db_, *idx, matcher,
-                                         qopts, scratch)
-            : unit.source < nseg
-                  ? engine.QueryWithCandidates(qview, *segments_[unit.source],
-                                               *idx, matcher, qopts, scratch)
-                  : engine.QueryWithCandidates(query, memtable_db_, *idx,
-                                               matcher, qopts, scratch);
+    Result<core::QueryResult> r = engine.QueryWithCandidates(
+        qview, unit.overlay ? overlay_db_ : source(unit.source), *idx,
+        matcher, qopts, &scratches[worker]);
     UnitState& st = ustate[u];
     if (!r.ok()) {
       st.error = r.status();
@@ -455,7 +441,8 @@ Result<core::QueryResult> StoreSnapshot::Query(
 
 Result<core::QueryResult> StoreSnapshot::Rank(
     const core::FtlEngine& engine, const traj::Trajectory& query,
-    const std::vector<std::string>& candidates, core::Matcher matcher) const {
+    const std::vector<std::string>& candidates, core::Matcher matcher,
+    const core::QueryOptions* qopts) const {
   if (candidates.empty()) {
     return Status::InvalidArgument("no candidates to rank");
   }
@@ -479,7 +466,10 @@ Result<core::QueryResult> StoreSnapshot::Rank(
     }
     indices.push_back(si);
   }
-  auto r = engine.QueryWithCandidates(query, scratch, indices, matcher);
+  const traj::FlatDatabase qflat = FlatOf(query);
+  auto r = engine.QueryWithCandidates(
+      qflat[0], traj::FlatDatabase::FromDatabase(scratch), indices, matcher,
+      qopts);
   if (!r.ok()) return r.status();
   core::QueryResult result = std::move(r).value();
   for (core::MatchCandidate& c : result.candidates) {

@@ -182,10 +182,14 @@ class StoreSnapshot {
   /// Scores `query` against the named candidates only (the /v1/rank
   /// path). Evaluation order is the request order; returned indices
   /// are canonical global indices. NotFound for an unknown label.
+  /// `qopts` may be null; a fired deadline yields a truncated prefix of
+  /// the request order.
   Result<core::QueryResult> Rank(const core::FtlEngine& engine,
                                  const traj::Trajectory& query,
                                  const std::vector<std::string>& candidates,
-                                 core::Matcher matcher) const;
+                                 core::Matcher matcher,
+                                 const core::QueryOptions* qopts =
+                                     nullptr) const;
 
  private:
   friend class Store;
@@ -222,6 +226,11 @@ class StoreSnapshot {
 
   StoreSnapshot() = default;
 
+  /// Source `s`: a segment for s < num_segments(), else the memtable.
+  const traj::FlatDatabase& source(size_t s) const {
+    return s < segments_.size() ? *segments_[s] : memtable_db_;
+  }
+
   std::vector<std::shared_ptr<const traj::FlatDatabase>> segments_;
   /// Per-segment candidate-generation indices (parallel to segments_;
   /// empty when blocking_mode_ == kOff). Query() intersects each plain
@@ -229,8 +238,8 @@ class StoreSnapshot {
   /// stay exhaustive.
   std::vector<std::shared_ptr<const core::BlockingIndex>> segment_indices_;
   core::BlockingMode blocking_mode_ = core::BlockingMode::kOff;
-  traj::TrajectoryDatabase memtable_db_;  ///< snapshot copy of the memtable
-  traj::TrajectoryDatabase overlay_db_;   ///< pre-merged multi-home labels
+  traj::FlatDatabase memtable_db_;  ///< snapshot copy of the memtable
+  traj::FlatDatabase overlay_db_;   ///< pre-merged multi-home labels
 
   std::vector<CanonEntry> canon_;                    ///< canonical order
   std::unordered_map<std::string, size_t> by_label_; ///< label -> global

@@ -330,12 +330,14 @@ TEST(CliTest, LinkRejectsBadMatcher) {
                     "--config", "SD", "--objects", "10"},
                    out),
             0);
-  std::ostringstream out2;
-  int rc = RunCli({"link", "--p", p_csv, "--q", q_csv, "--matcher",
-                   "bogus"},
-                  out2);
-  EXPECT_EQ(rc, 2);  // InvalidArgument
-  EXPECT_NE(out2.str().find("--matcher"), std::string::npos);
+  // Every command taking --matcher rejects an unknown name the same way.
+  for (const char* cmd : {"link", "calibrate", "serve"}) {
+    std::ostringstream out2;
+    int rc = RunCli({cmd, "--p", p_csv, "--q", q_csv, "--matcher", "bogus"},
+                    out2);
+    EXPECT_EQ(rc, 2) << cmd;  // InvalidArgument
+    EXPECT_NE(out2.str().find("--matcher"), std::string::npos) << cmd;
+  }
 }
 
 TEST(CliTest, LinkUnknownQueryLabel) {

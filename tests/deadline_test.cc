@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <numeric>
+#include <set>
 #include <string>
 
 #include "core/engine.h"
@@ -112,6 +114,15 @@ class EngineDeadlineTest : public ::testing::Test {
   }
   void TearDown() override { failpoint::DisarmAll(); }
 
+  // The trained models behind an engine that scores on 4 workers.
+  FtlEngine ParallelEngine() const {
+    EngineOptions o = DeadlineEngineOptions();
+    o.num_threads = 4;
+    FtlEngine e(o);
+    e.SetModels(engine_.models());
+    return e;
+  }
+
   sim::PopulationData data_;
   FtlEngine engine_{DeadlineEngineOptions()};
 };
@@ -120,8 +131,9 @@ TEST_F(EngineDeadlineTest, InertOptionsMatchPlainQuery) {
   auto plain = engine_.Query(data_.cdr_db[0], data_.transit_db,
                              Matcher::kAlphaFilter);
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  const QueryOptions inert;
   auto limited = engine_.Query(data_.cdr_db[0], data_.transit_db,
-                               Matcher::kAlphaFilter, QueryOptions{});
+                               Matcher::kAlphaFilter, &inert);
   ASSERT_TRUE(limited.ok()) << limited.status().ToString();
   EXPECT_FALSE(limited.value().truncated);
   EXPECT_TRUE(limited.value().status.ok());
@@ -135,7 +147,7 @@ TEST_F(EngineDeadlineTest, PreCancelledTokenEvaluatesNothing) {
   qopts.cancel = CancelToken::Create();
   qopts.cancel.RequestCancel();
   auto r = engine_.Query(data_.cdr_db[0], data_.transit_db,
-                         Matcher::kAlphaFilter, qopts);
+                         Matcher::kAlphaFilter, &qopts);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(r.value().truncated);
   EXPECT_EQ(r.value().status.code(), StatusCode::kCancelled);
@@ -157,7 +169,7 @@ TEST_F(EngineDeadlineTest, TruncatedResultIsPrefixOfFullRun) {
   qopts.deadline = Deadline::AfterMillis(20);
   qopts.check_every = 1;
   auto part = engine_.Query(data_.cdr_db[0], data_.transit_db,
-                            Matcher::kAlphaFilter, qopts);
+                            Matcher::kAlphaFilter, &qopts);
   failpoint::DisarmAll();
   ASSERT_TRUE(part.ok()) << part.status().ToString();
   ASSERT_TRUE(part.value().truncated);
@@ -176,6 +188,86 @@ TEST_F(EngineDeadlineTest, TruncatedResultIsPrefixOfFullRun) {
   EXPECT_EQ(Fingerprint(part.value()), Fingerprint(expected));
 }
 
+// The parallel loop polls limits once per chunk claim: a token
+// cancelled before the query starts stops every worker before it claims
+// its first chunk.
+TEST_F(EngineDeadlineTest, ParallelPreCancelledTokenEvaluatesNothing) {
+  FtlEngine parallel = ParallelEngine();
+  QueryOptions qopts;
+  qopts.cancel = CancelToken::Create();
+  qopts.cancel.RequestCancel();
+  auto r = parallel.Query(data_.cdr_db[0], data_.transit_db,
+                          Matcher::kAlphaFilter, &qopts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r.value().truncated);
+  EXPECT_EQ(r.value().status.code(), StatusCode::kCancelled);
+  EXPECT_EQ(r.value().evaluated, 0u);
+  EXPECT_TRUE(r.value().candidates.empty());
+}
+
+// Chunks are claimed in order and every claimed chunk completes, so a
+// deadline firing mid-scan on 4 workers still leaves an index-order
+// prefix.
+TEST_F(EngineDeadlineTest, ParallelTruncatedResultIsPrefixOfFullRun) {
+  FtlEngine parallel = ParallelEngine();
+  auto full = parallel.Query(data_.cdr_db[0], data_.transit_db,
+                             Matcher::kAlphaFilter);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+
+  // Four candidates per 20 ms round against a 30 ms deadline: the
+  // limit fires after about two rounds, far short of |Q|.
+  failpoint::Arm("core.query.candidate", {failpoint::Action::kDelay, 20});
+  QueryOptions qopts;
+  qopts.deadline = Deadline::AfterMillis(30);
+  auto part = parallel.Query(data_.cdr_db[0], data_.transit_db,
+                             Matcher::kAlphaFilter, &qopts);
+  failpoint::DisarmAll();
+  ASSERT_TRUE(part.ok()) << part.status().ToString();
+  ASSERT_TRUE(part.value().truncated);
+  EXPECT_EQ(part.value().status.code(), StatusCode::kDeadlineExceeded);
+  size_t evaluated = part.value().evaluated;
+  ASSERT_LT(evaluated, data_.transit_db.size());
+
+  QueryResult expected;
+  for (const auto& c : full.value().candidates) {
+    if (c.index < evaluated) expected.candidates.push_back(c);
+  }
+  EXPECT_EQ(Fingerprint(part.value()), Fingerprint(expected));
+}
+
+// QueryWithCandidates evaluates in candidate-list order, so a deadline
+// cuts it to a prefix of that order — here a descending list, so the
+// prefix is not an index range.
+TEST_F(EngineDeadlineTest, CandidateListTruncatesToPrefixOfItsOrder) {
+  std::vector<size_t> order(data_.transit_db.size());
+  std::iota(order.rbegin(), order.rend(), size_t{0});
+  auto full = engine_.QueryWithCandidates(data_.cdr_db[0], data_.transit_db,
+                                          order, Matcher::kAlphaFilter);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+
+  failpoint::Arm("core.query.candidate", {failpoint::Action::kDelay, 5});
+  QueryOptions qopts;
+  qopts.deadline = Deadline::AfterMillis(20);
+  qopts.check_every = 1;
+  auto part = engine_.QueryWithCandidates(data_.cdr_db[0], data_.transit_db,
+                                          order, Matcher::kAlphaFilter,
+                                          &qopts);
+  failpoint::DisarmAll();
+  ASSERT_TRUE(part.ok()) << part.status().ToString();
+  ASSERT_TRUE(part.value().truncated);
+  EXPECT_EQ(part.value().status.code(), StatusCode::kDeadlineExceeded);
+  size_t evaluated = part.value().evaluated;
+  ASSERT_LT(evaluated, order.size());
+
+  const std::set<size_t> reached(
+      order.begin(), order.begin() + static_cast<std::ptrdiff_t>(evaluated));
+  QueryResult expected;
+  for (const auto& c : full.value().candidates) {
+    if (reached.count(c.index) > 0) expected.candidates.push_back(c);
+  }
+  EXPECT_EQ(Fingerprint(part.value()), Fingerprint(expected));
+}
+
 TEST_F(EngineDeadlineTest, HardFaultStillFailsTheQuery) {
   // An injected error is a real fault, not a limit: the query must
   // fail even though deadline plumbing is engaged.
@@ -183,7 +275,7 @@ TEST_F(EngineDeadlineTest, HardFaultStillFailsTheQuery) {
   QueryOptions qopts;
   qopts.deadline = Deadline::AfterMillis(60000);
   auto r = engine_.Query(data_.cdr_db[0], data_.transit_db,
-                         Matcher::kAlphaFilter, qopts);
+                         Matcher::kAlphaFilter, &qopts);
   failpoint::DisarmAll();
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInternal);
@@ -202,7 +294,7 @@ TEST_F(EngineDeadlineTest, BatchQueryDeadlineReturnsPartialsQuickly) {
   qopts.check_every = 1;
   auto start = std::chrono::steady_clock::now();
   auto batch = engine_.BatchQuery(queries, data_.transit_db,
-                                  Matcher::kAlphaFilter, qopts);
+                                  Matcher::kAlphaFilter, &qopts);
   auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - start);
   failpoint::DisarmAll();
@@ -230,8 +322,9 @@ TEST_F(EngineDeadlineTest, BatchQueryInertOptionsMatchPlainBatch) {
   auto plain = engine_.BatchQuery(queries, data_.transit_db,
                                   Matcher::kNaiveBayes);
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  const QueryOptions inert;
   auto limited = engine_.BatchQuery(queries, data_.transit_db,
-                                    Matcher::kNaiveBayes, QueryOptions{});
+                                    Matcher::kNaiveBayes, &inert);
   ASSERT_TRUE(limited.ok()) << limited.status().ToString();
   ASSERT_EQ(limited.value().size(), plain.value().size());
   for (size_t i = 0; i < plain.value().size(); ++i) {

@@ -14,6 +14,7 @@
 #include <csignal>
 #include <filesystem>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -115,6 +116,46 @@ class ServeTest : public ::testing::Test {
 
 sim::PopulationData* ServeTest::data_ = nullptr;
 FtlEngine* ServeTest::engine_ = nullptr;
+
+// A /v1/rank body naming every trajectory of `db` in index order, so
+// request positions equal candidate indices; `extra` adds fields.
+std::string RankAllBody(const std::string& query,
+                        const traj::TrajectoryDatabase& db,
+                        const std::string& extra = "") {
+  std::string body = "{\"query\":\"" + query + "\",\"candidates\":[";
+  for (size_t i = 0; i < db.size(); ++i) {
+    body += (i > 0 ? ",\"" : "\"") + db[i].label() + "\"";
+  }
+  return body + "]" + extra + "}";
+}
+
+// A /v1/rank answer cut short by a deadline: 408, and its candidates
+// are the complete ranking `full` over the same request restricted to
+// the evaluated prefix of the request order.
+void ExpectRankPrefixPartial(const Result<HttpResponse>& r,
+                             const core::QueryResult& full,
+                             size_t requested) {
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().status, 408) << r.value().body;
+  auto parsed = io::ParseJson(r.value().body);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const io::JsonValue& body = parsed.value();
+  EXPECT_TRUE(body.Find("truncated")->AsBool());
+  auto evaluated = body.Find("evaluated")->AsInt64();
+  ASSERT_TRUE(evaluated.ok());
+  ASSERT_LT(static_cast<size_t>(evaluated.value()), requested);
+  std::vector<std::string> want;
+  for (const auto& c : full.candidates) {
+    if (c.index < static_cast<size_t>(evaluated.value())) {
+      want.push_back(c.label);
+    }
+  }
+  std::vector<std::string> got;
+  for (const auto& c : body.Find("candidates")->items()) {
+    got.push_back(c.Find("label")->AsString());
+  }
+  EXPECT_EQ(got, want);
+}
 
 TEST_F(ServeTest, StartRejectsBadConfig) {
   ServeOptions so = EphemeralOptions();
@@ -425,6 +466,32 @@ TEST_F(ServeTest, ServerDefaultDeadlineApplies) {
   server.Wait();
 }
 
+// /v1/rank applies the server default deadline too, and answers 408
+// with the prefix of the request order it reached.
+TEST_F(ServeTest, RankAppliesServerDefaultDeadline) {
+  ServeOptions so = EphemeralOptions();
+  so.request_deadline_ms = 20;
+  FtlServer server(so, engine_, &data_->cdr_db, &data_->transit_db);
+  ASSERT_TRUE(server.Start().ok());
+
+  const std::string label = data_->cdr_db[0].label();
+  std::vector<size_t> all(data_->transit_db.size());
+  std::iota(all.begin(), all.end(), size_t{0});
+  auto full = engine_->QueryWithCandidates(data_->cdr_db[0],
+                                           data_->transit_db, all,
+                                           Matcher::kNaiveBayes);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+
+  failpoint::Arm("core.query.candidate", {failpoint::Action::kDelay, 5});
+  auto r = HttpRequestOnce("127.0.0.1", server.port(), "POST", "/v1/rank",
+                           RankAllBody(label, data_->transit_db));
+  failpoint::DisarmAll();
+  ExpectRankPrefixPartial(r, full.value(), all.size());
+
+  server.Shutdown();
+  server.Wait();
+}
+
 TEST_F(ServeTest, MetricsEndpointExposesServeCounters) {
   FtlServer server(EphemeralOptions(), engine_, &data_->cdr_db,
                    &data_->transit_db);
@@ -584,6 +651,60 @@ TEST_F(ServeTest, StoreQueryThreadsByteIdentical) {
     EXPECT_EQ(r.value().body, io::QueryResultToJson(label, direct.value()))
         << "query " << label;
   }
+
+  server.Shutdown();
+  server.Wait();
+  store.reset();
+  std::filesystem::remove_all(dir);
+}
+
+// Store mode: a body deadline_ms cuts /v1/rank short the same way.
+TEST_F(ServeTest, StoreRankAppliesBodyDeadline) {
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     ("ftl_serve_rank_deadline." +
+                      std::to_string(static_cast<long long>(::getpid()))))
+                        .string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  store::StoreOptions sto;
+  sto.wal_sync = store::WalSync::kNever;
+  sto.flush_threshold_records = 60;
+  std::unique_ptr<store::Store> store = store::Store::Create(dir, sto);
+
+  ServeOptions so = EphemeralOptions();
+  so.start_ready = false;
+  FtlEngine engine(ServeEngineOptions());
+  FtlServer server(so, &engine, &data_->cdr_db, store.get());
+  ASSERT_TRUE(server.Start().ok());
+
+  ASSERT_TRUE(store->Recover().ok());
+  for (const traj::Trajectory& t : data_->transit_db) {
+    store::IngestBatch b;
+    for (const traj::Record& r : t.records()) {
+      b.rows.push_back(store::IngestRow{t.label(), t.owner(), r.t,
+                                        r.location.x, r.location.y});
+    }
+    ASSERT_TRUE(store->Append(b).ok());
+  }
+  ASSERT_GE(store->num_segments(), 1u);
+  traj::TrajectoryDatabase merged = store->MaterializeAll("store");
+  ASSERT_TRUE(engine.Train(data_->cdr_db, merged).ok());
+  server.MarkReady();
+
+  // Naming the candidates in canonical order makes request positions
+  // canonical indices.
+  const std::string label = data_->cdr_db[0].label();
+  std::vector<std::string> labels;
+  for (const traj::Trajectory& t : merged) labels.push_back(t.label());
+  auto full = store->Snapshot()->Rank(engine, data_->cdr_db[0], labels,
+                                      Matcher::kNaiveBayes);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+
+  failpoint::Arm("core.query.candidate", {failpoint::Action::kDelay, 5});
+  auto r = HttpRequestOnce("127.0.0.1", server.port(), "POST", "/v1/rank",
+                           RankAllBody(label, merged, ",\"deadline_ms\":20"));
+  failpoint::DisarmAll();
+  ExpectRankPrefixPartial(r, full.value(), labels.size());
 
   server.Shutdown();
   server.Wait();

@@ -1021,6 +1021,12 @@ OutcomeCounts ReadOutcomeCounts() {
 TEST_F(StoreQueryTest, CandidateOutcomesPartitionEveryPath) {
   const core::BlockingIndex index(merged_, {});
   auto snap = store_->Snapshot();
+  // The served paths pass an inert QueryOptions rather than none.
+  const core::QueryOptions inert;
+  core::EngineOptions parallel_opts = engine_->options();
+  parallel_opts.num_threads = 4;
+  core::FtlEngine parallel(parallel_opts);
+  parallel.SetModels(engine_->models());
   using Run = std::function<Result<core::QueryResult>(
       const traj::Trajectory&, core::Matcher)>;
   const std::vector<std::pair<std::string, Run>> paths = {
@@ -1044,6 +1050,14 @@ TEST_F(StoreQueryTest, CandidateOutcomesPartitionEveryPath) {
       {"parallel store snapshot",
        [&](const traj::Trajectory& q, core::Matcher m) {
          return snap->Query(*engine_, q, m, nullptr, 4);
+       }},
+      {"served store snapshot",
+       [&](const traj::Trajectory& q, core::Matcher m) {
+         return snap->Query(*engine_, q, m, &inert);
+       }},
+      {"parallel engine with inert limits",
+       [&](const traj::Trajectory& q, core::Matcher m) {
+         return parallel.Query(q, merged_, m, &inert);
        }},
   };
   for (core::Matcher matcher :

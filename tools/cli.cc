@@ -273,6 +273,16 @@ Result<core::EngineOptions> EngineOptionsFromArgs(const ArgMap& args) {
   return eo;
 }
 
+/// Parses `--matcher` (default nb), shared by `ftl link`,
+/// `ftl calibrate` and `ftl serve`.
+Result<core::Matcher> MatcherFromArgs(const ArgMap& args) {
+  auto m = core::ParseMatcher(args.Get("matcher", "nb"));
+  if (!m.ok()) {
+    return Status::InvalidArgument("--matcher: " + m.status().message());
+  }
+  return m;
+}
+
 /// Parses the shared candidate-generation flags (`ftl link`,
 /// `ftl serve`, and the store commands): --blocking MODE plus the
 /// tuning knobs. Returns mode kOff when the flag is absent.
@@ -497,16 +507,8 @@ Status CmdLink(const ArgMap& args, std::ostream& out) {
   if (!q.ok()) return q.status();
   auto eo = EngineOptionsFromArgs(args);
   if (!eo.ok()) return eo.status();
-  std::string matcher_name = args.Get("matcher", "nb");
-  core::Matcher matcher;
-  if (matcher_name == "nb") {
-    matcher = core::Matcher::kNaiveBayes;
-  } else if (matcher_name == "alpha") {
-    matcher = core::Matcher::kAlphaFilter;
-  } else {
-    return Status::InvalidArgument("--matcher must be nb or alpha, got '" +
-                                   matcher_name + "'");
-  }
+  auto matcher = MatcherFromArgs(args);
+  if (!matcher.ok()) return matcher.status();
   auto top = args.GetInt("top", 10);
   if (!top.ok()) return top.status();
   core::BlockingMode blocking_mode = core::BlockingMode::kOff;
@@ -541,9 +543,9 @@ Status CmdLink(const ArgMap& args, std::ostream& out) {
     const auto& query = p.value()[qi];
     auto result = blocking_index != nullptr
                       ? engine.QueryBlocked(query, q.value(), *blocking_index,
-                                            blocking_mode, matcher,
+                                            blocking_mode, matcher.value(),
                                             &blocking_scratch)
-                      : engine.Query(query, q.value(), matcher);
+                      : engine.Query(query, q.value(), matcher.value());
     if (!result.ok()) return result.status();
     if (args.Has("json")) {
       // One JSON document per query, byte-identical to what the serve
@@ -614,10 +616,8 @@ Status CmdCalibrate(const ArgMap& args, std::ostream& out) {
   if (!q.ok()) return q.status();
   auto eo = EngineOptionsFromArgs(args);
   if (!eo.ok()) return eo.status();
-  std::string matcher_name = args.Get("matcher", "nb");
-  core::Matcher matcher = matcher_name == "alpha"
-                              ? core::Matcher::kAlphaFilter
-                              : core::Matcher::kNaiveBayes;
+  auto matcher = MatcherFromArgs(args);
+  if (!matcher.ok()) return matcher.status();
   auto budget = args.GetDouble("budget", 10.0);
   if (!budget.ok()) return budget.status();
   auto queries = args.GetInt("queries", 50);
@@ -629,11 +629,11 @@ Status CmdCalibrate(const ArgMap& args, std::ostream& out) {
   target.max_mean_candidates = budget.value();
   eval::WorkloadOptions wo;
   wo.num_queries = static_cast<size_t>(queries.value());
-  auto result = eval::AutoCalibrate(engine, p.value(), q.value(), matcher,
-                                    target, wo);
+  auto result = eval::AutoCalibrate(engine, p.value(), q.value(),
+                                    matcher.value(), target, wo);
   if (!result.ok()) return result.status();
   const auto& r = result.value();
-  if (matcher == core::Matcher::kNaiveBayes) {
+  if (matcher.value() == core::Matcher::kNaiveBayes) {
     out << "calibrated phi_r=" << FormatDouble(r.phi_r, 6) << "\n";
   } else {
     out << "calibrated alpha1=" << FormatDouble(r.alpha1, 6)
@@ -800,15 +800,9 @@ Status CmdServe(const ArgMap& args, std::ostream& out) {
     size_t sized = hw / so.store_query_threads;
     so.num_threads = sized > 0 ? sized : 1;
   }
-  std::string matcher_name = args.Get("matcher", "nb");
-  if (matcher_name == "nb") {
-    so.default_matcher = core::Matcher::kNaiveBayes;
-  } else if (matcher_name == "alpha") {
-    so.default_matcher = core::Matcher::kAlphaFilter;
-  } else {
-    return Status::InvalidArgument("--matcher must be nb or alpha, got '" +
-                                   matcher_name + "'");
-  }
+  auto matcher = MatcherFromArgs(args);
+  if (!matcher.ok()) return matcher.status();
+  so.default_matcher = matcher.value();
   // Engine mode applies --blocking via the server's index over the
   // static Q; store mode applies it via StoreOptionsFromArgs below
   // (per-segment indices inside the snapshots).
@@ -880,7 +874,8 @@ Status CmdServe(const ArgMap& args, std::ostream& out) {
       << (so.num_threads == 0 ? std::thread::hardware_concurrency()
                               : so.num_threads)
       << ", max-queue=" << so.max_queue << ", request-deadline-ms="
-      << so.request_deadline_ms << ", matcher=" << matcher_name << ")\n";
+      << so.request_deadline_ms
+      << ", matcher=" << args.Get("matcher", "nb") << ")\n";
   out.flush();
   server.Wait();
   out << "drained " << server.requests_handled() << " request(s); bye\n";
