@@ -4,7 +4,6 @@
 //   2. Time-unit granularity of the compatibility models.
 //   3. Model horizon (beyond which segments are assumed compatible).
 //   4. Parallel query scaling (the paper's stated future work).
-//   5. Non-overlap pre-filter (skip candidates with disjoint time span).
 
 #include <cstdio>
 #include <thread>
@@ -124,17 +123,5 @@ int main() {
     std::printf("  threads=%zu  %.2fs  speedup %.2fx\n", threads,
                 o.seconds, o.seconds > 0 ? base_secs / o.seconds : 0.0);
   }
-  std::printf("\n");
-
-  Header("Ablation 5: non-overlap pre-filter");
-  for (bool evaluate_all : {true, false}) {
-    auto eo = BaseOptions();
-    eo.evaluate_non_overlapping = evaluate_all;
-    PrintRow(evaluate_all ? "evaluate all pairs" : "skip non-overlapping",
-             Run(f, eo));
-  }
-  std::printf("  expectation: skipping candidates with disjoint time "
-              "spans changes results only marginally while saving "
-              "work.\n");
   return 0;
 }

@@ -24,7 +24,8 @@
 // of the engine's sampled per-stage timers (alignment / bucketing /
 // tail), read from the ftl_stage_* histograms, so a speedup can be
 // attributed to a stage instead of guessed at from aggregate pairs/sec.
-// Emits BENCH_ftb.json (path overridable via argv[1]).
+// Emits BENCH_ftb.json (path overridable via argv[1]), headed by the
+// commit/host/nproc/isa header bench_e2e artifacts carry.
 
 #include <cstdint>
 #include <cstdio>
@@ -33,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/e2e/artifact.h"
 #include "bench_common.h"
 #include "ftl/ftl.h"
 #include "obs/metrics.h"
@@ -87,6 +89,11 @@ int main(int argc, char** argv) {
   const size_t num_queries = bench::PaperScale() ? 64 : 24;
   const std::string csv_path = TempPath("ftl_bench_ftb.csv");
   const std::string ftb_path = TempPath("ftl_bench_ftb.ftb");
+  // Taken before any level is pinned, so `isa` is the table the
+  // environment selects; window_s is filled in with the run's length.
+  Stopwatch run_sw;
+  bench_e2e::ArtifactHeader header =
+      bench_e2e::MakeArtifactHeader(config, bench::BenchSeed(), 0.0);
 
   sim::DatasetPair pair = sim::BuildDataset(sim::FindConfig(config),
                                             num_objects, bench::BenchSeed());
@@ -333,6 +340,9 @@ int main(int argc, char** argv) {
               scores[2].isa.c_str(), simd_vs_soa);
 
   // -------------------------------------------------------------- JSON
+  header.window_s = run_sw.ElapsedSeconds();
+  io::JsonWriter hw;
+  bench_e2e::WriteArtifactHeader(header, &hw);
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
@@ -340,6 +350,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f,
                "{\n"
+               "  \"header\": %s,\n"
                "  \"bench\": \"ftb\",\n"
                "  \"config\": \"%s\",\n"
                "  \"num_objects\": %zu,\n"
@@ -356,7 +367,7 @@ int main(int argc, char** argv) {
                "  \"results_byte_identical\": %s,\n"
                "  \"simd_results_byte_identical\": %s,\n"
                "  \"loads\": {\n",
-               config.c_str(), num_objects, aos_db.size(),
+               hw.str().c_str(), config.c_str(), num_objects, aos_db.size(),
                soa_db.TotalRecords(), query_db.size(), csv_bytes, ftb_bytes,
                mmap_available ? "true" : "false", cold_speedup, soa_vs_aos,
                simd_vs_soa, scores[2].isa.c_str(),

@@ -5,17 +5,16 @@
 //                            dispatch pinned to scalar (the oracle).
 //   * engine: simd         — the same queries under the best ISA level
 //                            this binary + CPU support.
-//   * kernel: evidence     — evidence_histogram alone on the workload's
-//                            (query, candidate) column shapes.
 //   * kernel: convolve / bernoulli — the truncated Poisson-Binomial
 //                            prefix-build kernels on synthetic inputs.
 //
 // Every SIMD row is validated against the scalar oracle before it is
-// timed (accept sets, p-values and histograms must match bit for bit),
-// so a speedup can never come from computing something else. The
+// timed (accept sets and p-values must match bit for bit), so a
+// speedup can never come from computing something else. The
 // engine-level speedup is reported against a stated 2.0x target; the
 // kernel rows attribute where vector time actually goes. Emits
-// BENCH_simd.json (path overridable via argv[1]).
+// BENCH_simd.json (path overridable via argv[1]), headed by the
+// commit/host/nproc/isa header bench_e2e artifacts carry.
 
 #include <cstdint>
 #include <cstdio>
@@ -24,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/e2e/artifact.h"
 #include "bench_common.h"
 #include "ftl/ftl.h"
 #include "simd/dispatch.h"
@@ -53,7 +53,7 @@ struct EngineRow {
 };
 
 struct KernelRow {
-  std::string name;  // e.g. "evidence", "convolve_prefix_512_4"
+  std::string name;  // e.g. "convolve_prefix_512_4"
   std::string isa;
   double ns_per_op = 0.0;
   double speedup_vs_scalar = 1.0;
@@ -64,6 +64,11 @@ struct KernelRow {
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_simd.json";
   const std::string config = "SC";
+  // Taken before any level is pinned, so `isa` is the table the
+  // environment selects; window_s is filled in with the run's length.
+  Stopwatch run_sw;
+  bench_e2e::ArtifactHeader header =
+      bench_e2e::MakeArtifactHeader(config, bench::BenchSeed(), 0.0);
   const size_t num_objects = bench::PaperScale() ? 1000 : 200;
   const size_t num_queries = bench::PaperScale() ? 64 : 24;
 
@@ -205,39 +210,6 @@ int main(int argc, char** argv) {
     kernel_rows.push_back(r);
   };
 
-  // evidence_histogram over the workload's first query against every
-  // candidate: the alignment-merge + bucketing hot loop in isolation.
-  {
-    simd::EvidenceParams params;
-    params.time_unit_seconds = eo.training.time_unit_seconds;
-    params.horizon_units = eo.training.horizon_units;
-    params.vmax_mps = eo.training.vmax_mps;
-    const size_t slots = static_cast<size_t>(params.horizon_units) + 1;
-    std::vector<int32_t> cnt(slots), inc(slots);
-    simd::EvidenceScratch scratch;
-    auto qv = flat_queries[0];
-    double scalar_ns = 0.0;
-    std::vector<simd::IsaLevel> all = {simd::IsaLevel::kScalar};
-    all.insert(all.end(), levels.begin(), levels.end());
-    for (simd::IsaLevel level : all) {
-      const simd::Kernels* k = simd::KernelsFor(level);
-      double ns = time_ns(
-          [&] {
-            for (size_t i = 0; i < soa_db.size(); ++i) {
-              auto cv = soa_db[i];
-              std::fill(cnt.begin(), cnt.end(), 0);
-              std::fill(inc.begin(), inc.end(), 0);
-              k->evidence_histogram(qv.ts(), qv.xs(), qv.ys(), qv.size(),
-                                    cv.ts(), cv.xs(), cv.ys(), cv.size(),
-                                    params, cnt.data(), inc.data(), &scratch);
-            }
-          },
-          static_cast<int64_t>(soa_db.size()));
-      if (level == simd::IsaLevel::kScalar) scalar_ns = ns;
-      push_kernel("evidence_histogram", level, ns, scalar_ns);
-    }
-  }
-
   // Convolution kernels of the truncated Poisson-Binomial prefix
   // build, at a short and a long prefix length (m = 4 matches the
   // grouped model's typical distinct-probability count).
@@ -287,6 +259,9 @@ int main(int argc, char** argv) {
   simd::SetDispatchForTest(best_level);
 
   // -------------------------------------------------------------- JSON
+  header.window_s = run_sw.ElapsedSeconds();
+  io::JsonWriter hw;
+  bench_e2e::WriteArtifactHeader(header, &hw);
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
@@ -294,6 +269,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f,
                "{\n"
+               "  \"header\": %s,\n"
                "  \"bench\": \"simd\",\n"
                "  \"config\": \"%s\",\n"
                "  \"num_objects\": %zu,\n"
@@ -304,8 +280,8 @@ int main(int argc, char** argv) {
                "  \"target_met\": %s,\n"
                "  \"results_byte_identical\": %s,\n"
                "  \"engine\": {\n",
-               config.c_str(), num_objects, query_db.size(), best_isa.c_str(),
-               kSpeedupTarget, engine_speedup,
+               hw.str().c_str(), config.c_str(), num_objects, query_db.size(),
+               best_isa.c_str(), kSpeedupTarget, engine_speedup,
                engine_speedup >= kSpeedupTarget ? "true" : "false",
                identical ? "true" : "false");
   for (size_t i = 0; i < engine_rows.size(); ++i) {

@@ -7,7 +7,6 @@
 
 #include "obs/metrics.h"
 #include "stats/grouped_poisson_binomial.h"
-#include "traj/alignment.h"
 #include "util/failpoint.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -128,26 +127,6 @@ EvidenceOptions FtlEngine::evidence_options() const {
 
 namespace {
 
-/// Evidence collection entry of the scoring hot path: the SoA overload
-/// threads the per-thread kernel scratch through to the vector
-/// kernels; the AoS overload has no use for it (that path stays on the
-/// layout-generic scalar kernel, the byte-identity oracle).
-inline void CollectEvidenceDispatch(const traj::Trajectory& q,
-                                    const traj::Trajectory& c,
-                                    const EvidenceOptions& opts,
-                                    BucketEvidence* out,
-                                    simd::EvidenceScratch* /*scratch*/) {
-  CollectEvidence(q, c, opts, out);
-}
-
-inline void CollectEvidenceDispatch(const traj::FlatTrajectoryView& q,
-                                    const traj::FlatTrajectoryView& c,
-                                    const EvidenceOptions& opts,
-                                    BucketEvidence* out,
-                                    simd::EvidenceScratch* scratch) {
-  CollectEvidence(q, c, opts, out, scratch);
-}
-
 /// Warms the next batch slot's candidate while the current pair
 /// scores. Streaming a database larger than L1 otherwise starts every
 /// pair with demand misses down the candidate's columns — a cost the
@@ -187,12 +166,10 @@ bool FtlEngine::ScoreOne(const QueryT& query, const CandT& cand,
   int64_t alignment_ns = 0;
   if (sampled) {
     Stopwatch sw;
-    CollectEvidenceDispatch(query, cand, ev_opts, &scratch->evidence,
-                            &scratch->ev_scratch);
+    CollectEvidence(query, cand, ev_opts, &scratch->evidence);
     alignment_ns = static_cast<int64_t>(sw.ElapsedSeconds() * 1e9);
   } else {
-    CollectEvidenceDispatch(query, cand, ev_opts, &scratch->evidence,
-                            &scratch->ev_scratch);
+    CollectEvidence(query, cand, ev_opts, &scratch->evidence);
   }
   const BucketEvidence& ev = scratch->evidence;
   stats::GroupedPbWorkspace& ws = scratch->pb;
@@ -333,13 +310,6 @@ Result<QueryResult> FtlEngine::QueryImpl(
   auto candidate_at = [&](size_t i) {
     return candidate_indices ? (*candidate_indices)[i] : i;
   };
-  // The non-overlap pre-filter only applies when scoring the whole
-  // database; an explicit candidate list is always evaluated.
-  auto skip = [&](const auto& cand) {
-    return candidate_indices == nullptr &&
-           !options_.evaluate_non_overlapping &&
-           traj::TimeSpanOverlapSeconds(query, cand) == 0;
-  };
 
   // One query-level stopwatch plus a per-scratch tally flush is the
   // whole per-query metrics cost; per-pair accounting lives in
@@ -368,27 +338,20 @@ Result<QueryResult> FtlEngine::QueryImpl(
   auto score_range = [&](ScoreScratch* s, size_t begin, size_t end,
                          auto&& emit) -> Status {
     size_t idxbuf[kScoreBatchSize];
-    size_t posbuf[kScoreBatchSize];
     uint8_t accbuf[kScoreBatchSize];
     s->batch.resize(kScoreBatchSize);
     size_t i = begin;
     while (i < end) {
+      const size_t first = i;
       size_t nb = 0;
-      for (; i < end && nb < kScoreBatchSize; ++i) {
+      for (; i < end && nb < kScoreBatchSize; ++i, ++nb) {
         FTL_FAILPOINT("core.query.candidate");
-        size_t idx = candidate_at(i);
-        // `auto&&` so the by-value views of a FlatDatabase get lifetime
-        // extension while TrajectoryDatabase still binds by reference.
-        auto&& cand = db[idx];
-        if (skip(cand)) continue;
-        idxbuf[nb] = idx;
-        posbuf[nb] = i;
-        ++nb;
+        idxbuf[nb] = candidate_at(i);
       }
       ScorePairBatch(query, db, idxbuf, nb, matcher, s->batch.data(), accbuf,
                      s);
       for (size_t b = 0; b < nb; ++b) {
-        emit(posbuf[b], s->batch[b], accbuf[b] != 0);
+        emit(first + b, s->batch[b], accbuf[b] != 0);
       }
     }
     return Status::OK();

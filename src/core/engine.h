@@ -17,7 +17,6 @@
 #include "core/blocking.h"
 #include "core/model_builders.h"
 #include "core/naive_bayes.h"
-#include "simd/kernels.h"
 #include "traj/database.h"
 #include "traj/flat_database.h"
 #include "util/deadline.h"
@@ -101,12 +100,6 @@ struct EngineOptions {
   ModelTrainingOptions training;
   AlphaFilterParams alpha;
   NaiveBayesParams naive_bayes;
-
-  /// Candidates whose time span does not overlap the query's produce at
-  /// most one informative mutual segment; when true they are still
-  /// evaluated (the paper evaluates all pairs). Kept as an option so the
-  /// ablation bench can measure the (small) effect of skipping them.
-  bool evaluate_non_overlapping = true;
 
   /// Worker threads; 1 = serial. BatchQuery parallelizes across
   /// queries; a single Query parallelizes across candidates (chunked,
@@ -230,10 +223,7 @@ class FtlEngine {
   /// gap. A BlockingIndex pruning only candidates that cannot reach
   /// `min_segments` therefore never changes an accept decision, so
   /// guaranteed-mode accept sets are byte-identical to exhaustive
-  /// scoring (DESIGN.md §13). The identity assumes the default
-  /// evaluate_non_overlapping=true; with the ablation-only false
-  /// setting, exhaustive runs themselves skip non-overlapping
-  /// candidates that blocking may score.
+  /// scoring (DESIGN.md §13).
   BlockingGuarantee DeriveBlockingGuarantee(Matcher matcher) const;
 
   /// Query through a BlockingIndex built over `db`: generates the
@@ -282,10 +272,6 @@ class FtlEngine {
     BucketEvidence evidence;
     stats::GroupedPbWorkspace pb;
 
-    /// Segment staging buffers of the vector evidence kernels
-    /// (simd/kernels.h); unused (but harmless) under scalar dispatch.
-    simd::EvidenceScratch ev_scratch;
-
     /// Per-slot results of one ScorePairBatch call.
     std::vector<MatchCandidate> batch;
 
@@ -333,8 +319,7 @@ class FtlEngine {
   /// scoring loop), template over the storage backend: DbT is
   /// TrajectoryDatabase (AoS) or FlatDatabase (SoA columns), QueryT the
   /// matching trajectory type. `candidate_indices == nullptr` scores
-  /// the whole database (and applies the evaluate_non_overlapping
-  /// pre-filter). Candidates stream through ScorePairBatch in a stable
+  /// the whole database. Candidates stream through ScorePairBatch in a stable
   /// evaluation order: serially on `scratch` (may be null; a local one
   /// is used) when num_threads <= 1, otherwise in chunks across the
   /// workers, each with its own scratch, and re-collected in order.

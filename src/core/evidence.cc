@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "simd/dispatch.h"
 #include "traj/alignment.h"
 
 namespace ftl::core {
@@ -172,34 +171,9 @@ void CollectEvidence(const traj::Trajectory& p, const traj::Trajectory& q,
 
 void CollectEvidence(const traj::FlatTrajectoryView& p,
                      const traj::FlatTrajectoryView& q,
-                     const EvidenceOptions& options, BucketEvidence* out,
-                     simd::EvidenceScratch* scratch) {
-  // The SoA path goes through the runtime-dispatched kernel table; the
-  // scalar tier of that table is the same arithmetic as
-  // CollectEvidenceImpl and the vector tiers are bit-identical to it
-  // (simd/kernels.h contract), preserving AoS/SoA byte-equality at
-  // every dispatch level. The histogram fold below is shared by all
-  // tiers, so the kernels only fill cnt/inc and count segments.
-  out->Reset(static_cast<size_t>(options.horizon_units));
-  const simd::Kernels& kernels = simd::Dispatch();
-  const simd::EvidenceParams params{options.time_unit_seconds,
-                                    options.horizon_units, options.vmax_mps};
-  thread_local simd::EvidenceScratch fallback_scratch;
-  simd::EvidenceScratch* ss = scratch != nullptr ? scratch : &fallback_scratch;
-  int32_t* cnt = out->count.data();
-  int32_t* inc = out->incompatible.data();
-  out->total_mutual = kernels.evidence_histogram(
-      p.ts(), p.xs(), p.ys(), p.size(), q.ts(), q.xs(), q.ys(), q.size(),
-      params, cnt, inc, ss);
-  int64_t informative = 0, k = 0;
-  const size_t h = static_cast<size_t>(options.horizon_units);
-  for (size_t u = 0; u < h; ++u) {
-    informative += cnt[u];
-    k += inc[u];
-  }
-  out->informative = informative;
-  out->k_observed = k;
-  out->beyond_horizon_incompatible = inc[h];
+                     const EvidenceOptions& options, BucketEvidence* out) {
+  CollectEvidenceImpl(SoaCols{p.ts(), p.xs(), p.ys()}, p.size(),
+                      SoaCols{q.ts(), q.xs(), q.ys()}, q.size(), options, out);
 }
 
 void CompactEvidence(const MutualSegmentEvidence& ev, size_t horizon_units,

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/compatibility_model.h"
-#include "simd/kernels.h"
 #include "stats/grouped_poisson_binomial.h"
 #include "traj/flat_database.h"
 #include "traj/trajectory.h"
@@ -118,18 +117,13 @@ void CollectEvidence(const traj::Trajectory& p, const traj::Trajectory& q,
                      const EvidenceOptions& options, BucketEvidence* out);
 
 /// SoA overload: streams the evidence straight out of contiguous
-/// columns (FlatTrajectoryView) through the runtime-dispatched SIMD
-/// kernel table (simd/dispatch.h) — the vectorized counterpart of the
-/// AoS merge. Every kernel tier is bit-identical to the scalar AoS
-/// path for equal record data (the simd layer's oracle contract), so
-/// AoS and SoA results remain byte-identical. `scratch` holds the
-/// vector kernels' segment staging buffers; pass one per scoring
-/// thread to keep steady state allocation-free (null uses a
-/// thread-local).
+/// columns (FlatTrajectoryView). Both overloads run one walk over
+/// layout-specific column accessors, so they perform the same
+/// arithmetic in the same order and AoS and SoA results are
+/// byte-identical for equal record data.
 void CollectEvidence(const traj::FlatTrajectoryView& p,
                      const traj::FlatTrajectoryView& q,
-                     const EvidenceOptions& options, BucketEvidence* out,
-                     simd::EvidenceScratch* scratch = nullptr);
+                     const EvidenceOptions& options, BucketEvidence* out);
 
 /// Folds per-segment evidence into the bucket histogram (used by the
 /// streaming linker, whose pair state accumulates incrementally).

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -472,11 +473,18 @@ Result<traj::FlatDatabase> ReadFtb(const std::string& path,
   }
   if (options.verify_checksums) {
     // Timestamp order is an engine invariant (binary search, merge
-    // cursors); a file claiming it falsely must not load.
+    // cursors), and finite coordinates are a loader invariant (ReadCsv
+    // and Store::Append refuse the rest); a file breaking either must
+    // not load.
     for (uint64_t i = 0; i < num_traj; ++i) {
-      for (uint64_t r = cols.record_offsets[i] + 1;
-           r < cols.record_offsets[i + 1]; ++r) {
-        if (cols.ts[r - 1] > cols.ts[r]) {
+      const uint64_t begin = cols.record_offsets[i];
+      for (uint64_t r = begin; r < cols.record_offsets[i + 1]; ++r) {
+        if (!std::isfinite(cols.xs[r]) || !std::isfinite(cols.ys[r])) {
+          return CorruptionError(
+              path, "non-finite coordinate in trajectory " +
+                        std::to_string(i));
+        }
+        if (r > begin && cols.ts[r - 1] > cols.ts[r]) {
           return CorruptionError(
               path, "timestamps out of order in trajectory " +
                         std::to_string(i));

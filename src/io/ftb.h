@@ -49,9 +49,10 @@ inline constexpr uint32_t kFtbMinReadVersion = 1;
 
 /// Options for ReadFtb.
 struct FtbReadOptions {
-  /// Verify the per-section CRC32s (and the timestamp-order invariant)
-  /// at load time. Leave on outside of benchmarks; the whole-file scan
-  /// is still far cheaper than a CSV parse.
+  /// Verify the per-section CRC32s (and the timestamp-order and
+  /// finite-coordinate invariants) at load time. Leave on outside of
+  /// benchmarks; the whole-file scan is still far cheaper than a CSV
+  /// parse.
   bool verify_checksums = true;
 
   /// Map the file instead of reading it onto the heap when the
@@ -89,12 +90,12 @@ Status WriteFtb(const traj::TrajectoryDatabase& db, const std::string& path);
 /// Loads an FTB file into a FlatDatabase (failpoint site
 /// "io.read_ftb"). Validation always covers the header, footer, file
 /// length, section bounds, offset-table monotonicity, and label
-/// uniqueness; `options.verify_checksums` adds the per-section CRCs
-/// and the per-trajectory timestamp order. On success the database's
-/// views point into the mapping (or the heap buffer) with no
-/// per-record work done. `info`, when non-null, receives load
-/// telemetry; the same numbers are also published as ftl_io_ftb_*
-/// metrics.
+/// uniqueness; `options.verify_checksums` adds the per-section CRCs,
+/// the per-trajectory timestamp order and finite coordinates. On
+/// success the database's views point into the mapping (or the heap
+/// buffer) with no per-record work done. `info`, when non-null,
+/// receives load telemetry; the same numbers are also published as
+/// ftl_io_ftb_* metrics.
 Result<traj::FlatDatabase> ReadFtb(const std::string& path,
                                    const FtbReadOptions& options = {},
                                    FtbLoadInfo* info = nullptr);

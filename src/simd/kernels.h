@@ -4,66 +4,25 @@
 /// \file kernels.h
 /// The vectorized hot-loop kernel table.
 ///
-/// Three loops dominate per-pair scoring (see DESIGN.md §10): the
-/// alignment merge's segment math over SoA columns, the bucket
-/// histogram accumulation it feeds, and the truncated Poisson-Binomial
-/// convolution of the exact tail. Each is exposed here as a C-style
-/// function pointer over raw column pointers — no core/traj types — so
-/// the SIMD layer stays at the bottom of the dependency graph and one
-/// table can be swapped wholesale by the runtime dispatcher
-/// (simd/dispatch.h).
+/// Two loops of the exact Poisson-Binomial tail vectorize profitably
+/// (see DESIGN.md §10): the truncated prefix convolution and the
+/// Bernoulli DP step. Each is exposed here as a C-style function
+/// pointer over raw double arrays — no core/stats types — so the SIMD
+/// layer stays at the bottom of the dependency graph and one table can
+/// be swapped wholesale by the runtime dispatcher (simd/dispatch.h).
+/// The alignment walk that feeds them is not here: it is one scalar
+/// walk, core::CollectEvidence, for both storage layouts.
 ///
 /// Bit-identity contract: every implementation of a kernel, at every
 /// ISA level, produces byte-identical output to the scalar
-/// implementation for all inputs (including NaN coordinates). Integer
-/// histogram work is order-free; floating-point work is either
-/// element-wise (identical operations per element) or accumulates in
-/// the exact scalar order per output element (the convolutions
-/// vectorize ACROSS outputs, never across a single output's summation
-/// order). No FMA contraction is permitted in any kernel TU.
+/// implementation for all inputs. Both kernels vectorize ACROSS output
+/// slots, each output accumulating in the exact scalar order, never
+/// across a single output's summation. No FMA contraction is permitted
+/// in any kernel TU.
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 namespace ftl::simd {
-
-/// Parameters of the evidence-histogram kernel, mirroring
-/// core::EvidenceOptions without depending on it.
-struct EvidenceParams {
-  int64_t time_unit_seconds = 60;
-  int64_t horizon_units = 60;
-  double vmax_mps = 0.0;
-};
-
-/// Reusable staging buffers for the vector evidence kernel: the merge
-/// phase emits each mutual segment's deltas (non-negative dt, signed
-/// dx/dy) into these contiguous arrays, and the math phase consumes
-/// them in vector-width blocks with plain sequential loads — no
-/// gathers. dt is staged as int32 so the bucket math runs on native
-/// int32 lanes; pairs whose time span could overflow it fall back to
-/// the scalar kernel (see kernels_vec_impl.h). Grows on demand; keep
-/// one per scoring thread so steady state is allocation free. The
-/// scalar kernel ignores it (and tolerates null).
-struct EvidenceScratch {
-  std::vector<int32_t> dt;
-  std::vector<double> dx;
-  std::vector<double> dy;
-};
-
-/// Builds the per-unit evidence histogram of the mutual segments of the
-/// time-ordered merge of P (pt/px/py, np records) and Q (qt/qx/qy, nq
-/// records), both sorted by non-decreasing timestamp. `cnt` and `inc`
-/// have horizon_units + 1 slots each and MUST be zeroed by the caller;
-/// slot horizon_units is the beyond-horizon overflow slot. Returns the
-/// total number of mutual segments. Semantics (merge order, P-first
-/// ties, speed-threshold compare, reciprocal-multiply unit bucketing)
-/// match core::CollectEvidence exactly, bit for bit.
-using EvidenceHistogramFn = int64_t (*)(
-    const int64_t* pt, const double* px, const double* py, size_t np,
-    const int64_t* qt, const double* qx, const double* qy, size_t nq,
-    const EvidenceParams& params, int32_t* cnt, int32_t* inc,
-    EvidenceScratch* scratch);
 
 /// One in-place backward convolution round of the truncated
 /// Poisson-Binomial prefix build (stats/grouped_poisson_binomial.cc):
@@ -91,7 +50,6 @@ enum class IsaLevel : int {
 struct Kernels {
   IsaLevel level = IsaLevel::kScalar;
   const char* name = "scalar";  ///< "scalar" | "sse2" | "neon" | "avx2"
-  EvidenceHistogramFn evidence_histogram = nullptr;
   ConvolvePrefixFn convolve_prefix = nullptr;
   BernoulliStepFn bernoulli_step = nullptr;
 };

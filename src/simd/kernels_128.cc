@@ -29,7 +29,6 @@ constexpr const char* kName = "sse2";
 
 const Kernels* Get128Kernels() {
   static const Kernels k = {IsaLevel::kSimd128, kName,
-                            &EvidenceHistogramVec<Traits>,
                             &ConvolvePrefixVec<Traits>,
                             &BernoulliStepVec<Traits>};
   return &k;

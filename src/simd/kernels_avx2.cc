@@ -16,7 +16,6 @@ namespace ftl::simd::internal {
 
 const Kernels* GetAvx2Kernels() {
   static const Kernels k = {IsaLevel::kAvx2, "avx2",
-                            &EvidenceHistogramVec<Avx2Traits>,
                             &ConvolvePrefixVec<Avx2Traits>,
                             &BernoulliStepVec<Avx2Traits>};
   return &k;

@@ -3,76 +3,19 @@
 
 /// \file kernels_internal.h
 /// Library-internal declarations shared by the per-ISA kernel TUs and
-/// the dispatcher: the scalar reference kernels (also the fallback the
-/// vector kernels defer to for degenerate parameters) and the per-ISA
-/// table getters. Not installed; include only from src/simd.
+/// the dispatcher: the scalar reference kernels and the per-ISA table
+/// getters. Not installed; include only from src/simd.
 
-#include <algorithm>
 #include <cstddef>
-#include <cstdint>
 
 #include "simd/kernels.h"
 
 namespace ftl::simd::internal {
 
-/// Hoisted per-call constants of the evidence segment math.
-struct EvidenceConsts {
-  int64_t tu;       ///< time unit, seconds (>= 1 on the vector paths)
-  int64_t half;     ///< tu / 2 (rounding offset)
-  int64_t horizon;  ///< horizon_units; histogram overflow slot index
-  double inv_tu;    ///< 1.0 / tu
-  double vmax;      ///< speed threshold, m/s
-};
-
-inline EvidenceConsts MakeEvidenceConsts(const EvidenceParams& p) {
-  return EvidenceConsts{p.time_unit_seconds, p.time_unit_seconds / 2,
-                        p.horizon_units,
-                        1.0 / static_cast<double>(p.time_unit_seconds),
-                        p.vmax_mps};
-}
-
-/// One mutual segment's histogram update — THE scalar reference math.
-/// `dt` is the segment's non-negative time difference; dx/dy may be
-/// any sign (only their squares are used) or NaN (NaN compares false,
-/// so a NaN coordinate counts as compatible, matching the scalar
-/// engine). The unit bucket is (dt + tu/2) / tu computed by
-/// reciprocal multiply with a one-off fixup, clamped into the
-/// beyond-horizon overflow slot.
-inline void SegmentUpdate(const EvidenceConsts& c, int64_t dt, double dx,
-                          double dy, int32_t* cnt, int32_t* inc) {
-  double limit = c.vmax * static_cast<double>(dt);
-  int32_t incompat = dx * dx + dy * dy > limit * limit ? 1 : 0;
-  int64_t x = dt + c.half;
-  int64_t unit = static_cast<int64_t>(static_cast<double>(x) * c.inv_tu);
-  int64_t r = x - unit * c.tu;
-  unit += (r >= c.tu) - (r < 0);
-  size_t u = static_cast<size_t>(std::min(unit, c.horizon));
-  ++cnt[u];
-  inc[u] += incompat;
-}
-
 /// Scalar reference kernels (always compiled in).
-int64_t EvidenceHistogramScalar(const int64_t* pt, const double* px,
-                                const double* py, size_t np,
-                                const int64_t* qt, const double* qx,
-                                const double* qy, size_t nq,
-                                const EvidenceParams& params, int32_t* cnt,
-                                int32_t* inc, EvidenceScratch* scratch);
 void ConvolvePrefixScalar(double* f, size_t new_len, const double* b,
                           size_t m);
 void BernoulliStepScalar(double* f, size_t new_len, double p, double q);
-
-/// True when the vector evidence kernels can run on these parameters;
-/// degenerate corners (non-positive time unit, horizons past the
-/// int32-truncation guard, missing scratch) defer to the scalar kernel
-/// instead of widening the vector paths for cases that never occur in
-/// practice.
-inline bool VectorEvidenceSupported(const EvidenceParams& params,
-                                    const EvidenceScratch* scratch) {
-  return scratch != nullptr && params.time_unit_seconds >= 1 &&
-         params.horizon_units >= 0 &&
-         params.horizon_units <= (int64_t{1} << 30);
-}
 
 /// Per-ISA tables. The scalar table always exists; the 128/256-bit
 /// getters are compiled only when the target supports them (guarded by

@@ -1,51 +1,13 @@
 /// \file kernels_scalar.cc
 /// Scalar reference kernels: the byte-identity oracle every vector
 /// kernel is tested against, and the active table under
-/// FTL_SIMD=scalar or on targets with no vector backend. The evidence
-/// merge here is the same run-skipping alternation walk as
-/// core/evidence.cc's layout-generic kernel, operating on raw column
-/// pointers.
+/// FTL_SIMD=scalar or on targets with no vector backend.
+
+#include <algorithm>
 
 #include "simd/kernels_internal.h"
 
 namespace ftl::simd::internal {
-
-int64_t EvidenceHistogramScalar(const int64_t* pt, const double* px,
-                                const double* py, size_t np,
-                                const int64_t* qt, const double* qx,
-                                const double* qy, size_t nq,
-                                const EvidenceParams& params, int32_t* cnt,
-                                int32_t* inc, EvidenceScratch* /*scratch*/) {
-  const EvidenceConsts c = MakeEvidenceConsts(params);
-  int64_t total_mutual = 0;
-  // Mutual segments are the source alternations of the merged order
-  // (ties P-first): per Q record, the run of P records at or before it
-  // contributes at most two — its first record closes a Q->P
-  // alternation, its last opens the P->Q alternation closed by q[j].
-  size_t i = 0;
-  for (size_t j = 0; j < nq; ++j) {
-    const int64_t tj = qt[j];
-    if (i < np && pt[i] <= tj) {
-      if (j > 0) {
-        ++total_mutual;
-        SegmentUpdate(c, pt[i] - qt[j - 1], px[i] - qx[j - 1],
-                      py[i] - qy[j - 1], cnt, inc);
-      }
-      while (i + 1 < np && pt[i + 1] <= tj) ++i;
-      ++total_mutual;
-      SegmentUpdate(c, qt[j] - pt[i], qx[j] - px[i], qy[j] - py[i], cnt, inc);
-      ++i;
-    }
-  }
-  // P records after the last Q record: only the first closes an
-  // alternation; the rest are self-segments.
-  if (i < np && nq > 0) {
-    ++total_mutual;
-    SegmentUpdate(c, pt[i] - qt[nq - 1], px[i] - qx[nq - 1], py[i] - qy[nq - 1],
-                  cnt, inc);
-  }
-  return total_mutual;
-}
 
 void ConvolvePrefixScalar(double* f, size_t new_len, const double* b,
                           size_t m) {
@@ -64,8 +26,7 @@ void BernoulliStepScalar(double* f, size_t new_len, double p, double q) {
 
 const Kernels* GetScalarKernels() {
   static const Kernels k = {IsaLevel::kScalar, "scalar",
-                            &EvidenceHistogramScalar, &ConvolvePrefixScalar,
-                            &BernoulliStepScalar};
+                            &ConvolvePrefixScalar, &BernoulliStepScalar};
   return &k;
 }
 

@@ -7,263 +7,21 @@
 /// 128-bit and 256-bit targets; each per-ISA TU instantiates it with
 /// its trait and registers the resulting table.
 ///
-/// A trait `T` provides `kLanes` plus static wrappers:
-///   F / I / I32                 — kLanes of f64 / i64 / i32
-///   loadu_f64/storeu_f64/set1_f64; add/sub/mul f64
-///   loadu_i64 / set1_i64 / cmpgt_i64 (signed, all-ones lane masks)
-///   cmpgt_f64 (ordered, quiet: NaN -> false), cmpge_f64
-///   movemask_f64 / movemask_i64 — lane sign bits, lane 0 = bit 0
-///   loadu_i32/storeu_i32/set1_i32; add/sub/or/cmpgt/cmpeq i32
-///   broadcast0_i32 / extract0_i32 — splat / read lane 0
-///   movemask_i32                — int32 lane sign bits (mask with
-///                                 kFullMask; upper bits undefined)
-///   blendv_i32(a, b, m)         — lanes with m set take b
-///   mullo_i32                   — low 32 bits of the lane product
-///   i32_to_f64                  — exact, bit-identical to static_cast
-///   f64_to_i32_trunc            — truncate toward zero; defined for
-///                                 |d| < 2^31 (guarded by the callers)
-///   castf_i32                   — narrow an F compare mask to I32 lanes
+/// A trait `T` provides `kLanes`, the f64 vector type `F`, and static
+/// wrappers loadu_f64 / storeu_f64 / set1_f64 / add_f64 / mul_f64.
 ///
-/// Bit-identity design (kernels.h): the evidence histogram is integer
-/// accumulation over element-wise math, so lanes can be computed in any
-/// order; the convolutions vectorize across OUTPUT slots, each lane
-/// accumulating its own sum in the exact ascending-j scalar order. No
-/// trait op may contract mul+add into an FMA (the TUs are compiled
-/// without FMA code generation, and the wrappers emit explicit mul/add
-/// intrinsics which compilers do not fuse).
+/// Bit-identity design (kernels.h): both kernels vectorize across
+/// OUTPUT slots, each lane accumulating its own sum in the exact
+/// ascending-j scalar order. No trait op may contract mul+add into an
+/// FMA (the TUs are compiled without FMA code generation, and the
+/// wrappers emit explicit mul/add intrinsics which compilers do not
+/// fuse).
 
 #include <cstddef>
-#include <cstdint>
 
 #include "simd/kernels_internal.h"
 
 namespace ftl::simd::internal {
-
-template <typename T>
-int64_t EvidenceHistogramVec(const int64_t* pt, const double* px,
-                             const double* py, size_t np, const int64_t* qt,
-                             const double* qx, const double* qy, size_t nq,
-                             const EvidenceParams& params, int32_t* cnt,
-                             int32_t* inc, EvidenceScratch* scratch) {
-  if (!VectorEvidenceSupported(params, scratch)) {
-    return EvidenceHistogramScalar(pt, px, py, np, qt, qx, qy, nq, params,
-                                   cnt, inc, scratch);
-  }
-  if (np == 0 || nq == 0) return 0;  // no alternations, nothing to count
-  // int32 staging guard: every segment's dt is at most the combined
-  // time span, and the bucket math needs x = dt + tu/2 (and the fixup
-  // remainder arithmetic around it) to stay clear of int32 overflow.
-  // Realistic data is decades below the 2^31-second span; the rare
-  // violator takes the scalar kernel.
-  {
-    const int64_t lo = pt[0] < qt[0] ? pt[0] : qt[0];
-    const int64_t hi = pt[np - 1] > qt[nq - 1] ? pt[np - 1] : qt[nq - 1];
-    const uint64_t span =
-        static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
-    if (params.time_unit_seconds > (int64_t{1} << 29) ||
-        span > static_cast<uint64_t>(INT32_MAX) -
-                   static_cast<uint64_t>(params.time_unit_seconds / 2) - 1) {
-      return EvidenceHistogramScalar(pt, px, py, np, qt, qx, qy, nq, params,
-                                     cnt, inc, scratch);
-    }
-  }
-  constexpr size_t W = T::kLanes;
-  using F = typename T::F;
-  using I = typename T::I;
-  using I32 = typename T::I32;
-  constexpr int kFullMask = (1 << W) - 1;
-
-  // Phase A: walk the merge and stage each mutual segment's deltas
-  // (dt = later - earlier timestamp, so non-negative; dx/dy signed)
-  // into contiguous scratch columns. The walk visits exactly the
-  // states of the scalar reference loop, but the two data-dependent
-  // scans — skipping a run of P records at or before q[j], and
-  // skipping Q records strictly before p[i] — gallop W timestamps per
-  // vector compare once a scalar probe shows the run extends, so
-  // barely-overlapping pairs (the common case under a full-database
-  // query) cost ~(np + nq) / W compares while densely interleaved
-  // pairs (runs of length 1) pay only the probe. Emission happens only
-  // at run boundaries: at most 2 per consumed Q record, plus one tail
-  // segment.
-  const size_t max_segments = 2 * nq + 1;
-  if (scratch->dt.size() < max_segments) {
-    scratch->dt.resize(max_segments);
-    scratch->dx.resize(max_segments);
-    scratch->dy.resize(max_segments);
-  }
-  int32_t* sdt = scratch->dt.data();
-  double* sdx = scratch->dx.data();
-  double* sdy = scratch->dy.data();
-  size_t ns = 0;
-  {
-    size_t i = 0, j = 0;
-    while (j < nq && i < np) {
-      if (pt[i] > qt[j]) {
-        // No P record enters the merge at or before q[j]; the scalar
-        // loop does nothing for such j. Skip the whole run of Q
-        // records strictly before p[i] (timestamps are sorted, so the
-        // run is a prefix of the remainder).
-        ++j;
-        // Probe a few records scalar before committing to the vector
-        // gallop: realistic merges mix run lengths of 1-4, where the
-        // splat + compare + movemask round trip costs more than the
-        // well-predicted scalar steps it replaces. Only runs that
-        // survive three probes — the sparse-overlap regime the gallop
-        // exists for — pay the vector setup.
-        if (j < nq && pt[i] > qt[j]) ++j;
-        if (j < nq && pt[i] > qt[j]) ++j;
-        if (j < nq && pt[i] > qt[j]) {
-          ++j;
-          const I tiv = T::set1_i64(pt[i]);
-          for (;;) {
-            if (j + W <= nq) {
-              int lt =
-                  T::movemask_i64(T::cmpgt_i64(tiv, T::loadu_i64(qt + j)));
-              if (lt == kFullMask) {
-                j += W;
-                continue;
-              }
-              j += static_cast<size_t>(
-                  __builtin_ctz(static_cast<unsigned>(~lt & kFullMask)));
-              break;
-            }
-            while (j < nq && pt[i] > qt[j]) ++j;
-            break;
-          }
-        }
-        if (j >= nq) break;
-      }
-      // pt[i] <= qt[j]: a run of P records enters before q[j]. Its
-      // first record closes a Q->P alternation (except before the
-      // first Q record); its last record opens the P->Q alternation
-      // closed by q[j].
-      const int64_t tj = qt[j];
-      if (j > 0) {
-        sdt[ns] = static_cast<int32_t>(pt[i] - qt[j - 1]);
-        sdx[ns] = px[i] - qx[j - 1];
-        sdy[ns] = py[i] - qy[j - 1];
-        ++ns;
-      }
-      // Advance i to the last P record at or before tj, with the same
-      // probe-then-gallop structure as the Q skip above.
-      if (i + 1 < np && pt[i + 1] <= tj) {
-        ++i;
-        if (i + 1 < np && pt[i + 1] <= tj) ++i;
-        if (i + 1 < np && pt[i + 1] <= tj) ++i;
-        if (i + 1 < np && pt[i + 1] <= tj) {
-          ++i;
-          const I tjv = T::set1_i64(tj);
-          for (;;) {
-            if (i + 1 + W <= np) {
-              int gt = T::movemask_i64(T::cmpgt_i64(T::loadu_i64(pt + i + 1),
-                                                    tjv));
-              if (gt == 0) {
-                i += W;
-                continue;
-              }
-              i += static_cast<size_t>(
-                  __builtin_ctz(static_cast<unsigned>(gt)));
-              break;
-            }
-            while (i + 1 < np && pt[i + 1] <= tj) ++i;
-            break;
-          }
-        }
-      }
-      sdt[ns] = static_cast<int32_t>(tj - pt[i]);
-      sdx[ns] = qx[j] - px[i];
-      sdy[ns] = qy[j] - py[i];
-      ++ns;
-      ++i;
-      ++j;
-    }
-    if (i < np) {
-      sdt[ns] = static_cast<int32_t>(pt[i] - qt[nq - 1]);
-      sdx[ns] = px[i] - qx[nq - 1];
-      sdy[ns] = py[i] - qy[nq - 1];
-      ++ns;
-    }
-  }
-
-  // Phase B: W segments per iteration, straight-line math over the
-  // staged columns (sequential loads, no gathers). All integer work
-  // runs on native int32 lanes under the span guard above.
-  const EvidenceConsts c = MakeEvidenceConsts(params);
-  const F vmaxv = T::set1_f64(c.vmax);
-  const F inv_tuv = T::set1_f64(c.inv_tu);
-  // Lanes whose (dt + half) * inv_tu lands at or past horizon + 2 are
-  // clamped straight into the overflow slot: the reciprocal multiply is
-  // within 1 unit of the exact quotient, so such lanes' true unit is
-  // > horizon, and the int32 truncation window is never exceeded for
-  // the lanes that do get truncated (x < 2^31 and tu >= 1 bound the
-  // quotient; horizon itself is guarded to 2^30).
-  const F bigv = T::set1_f64(static_cast<double>(c.horizon) + 2.0);
-  const I32 halfv = T::set1_i32(static_cast<int32_t>(c.half));
-  const I32 tuv = T::set1_i32(static_cast<int32_t>(c.tu));
-  const I32 tum1v = T::set1_i32(static_cast<int32_t>(c.tu - 1));
-  const I32 horizonv = T::set1_i32(static_cast<int32_t>(c.horizon));
-  const I32 zerov = T::set1_i32(0);
-  alignas(32) int32_t ubuf[W];
-  size_t s = 0;
-  for (; s + W <= ns; s += W) {
-    I32 dt = T::loadu_i32(sdt + s);
-    F dx = T::loadu_f64(sdx + s);
-    F dy = T::loadu_f64(sdy + s);
-    F dtd = T::i32_to_f64(dt);
-    F limit = T::mul_f64(vmaxv, dtd);
-    F lhs = T::add_f64(T::mul_f64(dx, dx), T::mul_f64(dy, dy));
-    int incmask = T::movemask_f64(
-        T::cmpgt_f64(lhs, T::mul_f64(limit, limit)));
-    I32 x = T::add_i32(dt, halfv);
-    F dq = T::mul_f64(T::i32_to_f64(x), inv_tuv);
-    I32 unit = T::f64_to_i32_trunc(dq);
-    I32 r = T::sub_i32(x, T::mullo_i32(unit, tuv));
-    // unit += (r >= tu) - (r < 0): masks are -1, so subtract/add them.
-    unit = T::sub_i32(unit, T::cmpgt_i32(r, tum1v));
-    unit = T::add_i32(unit, T::cmpgt_i32(zerov, r));
-    I32 clampm = T::cmpgt_i32(unit, horizonv);
-    // Far-beyond-horizon lanes (quotient at or past horizon + 2) sit
-    // outside the int32 truncation window the fixup math assumes, so
-    // their `unit` lanes are garbage — but such lanes' true unit is
-    // provably > horizon, and the horizon compare may still miss them
-    // (garbage can be negative). Checking the f64 compare's movemask
-    // keeps the common all-in-window iteration free of the mask-narrow
-    // shuffle and extra blend; segments never exceed the staged span,
-    // so the branch is essentially never taken and predicts perfectly.
-    int bigmask = T::movemask_f64(T::cmpge_f64(dq, bigv));
-    if (bigmask != 0) {
-      clampm = T::or_i32(clampm, T::castf_i32(T::cmpge_f64(dq, bigv)));
-    }
-    unit = T::blendv_i32(unit, horizonv, clampm);
-    // Consecutive segments overwhelmingly land in the same bucket
-    // (inter-record gaps cluster well under one time unit), which makes
-    // the naive per-lane scatter a serial chain of load-add-store
-    // updates to one slot. When all lanes agree — the common case —
-    // fold the whole vector into a single update per array. The
-    // agreement test stays in vector registers: bouncing `unit`
-    // through memory for scalar compares would stall on
-    // store-to-load forwarding every iteration.
-    const int eq = T::movemask_i32(
-        T::cmpeq_i32(unit, T::broadcast0_i32(unit)));
-    if ((eq & kFullMask) == kFullMask) {
-      size_t u = static_cast<size_t>(
-          static_cast<uint32_t>(T::extract0_i32(unit)));
-      cnt[u] += static_cast<int32_t>(W);
-      inc[u] += __builtin_popcount(static_cast<unsigned>(incmask));
-    } else {
-      T::storeu_i32(ubuf, unit);
-      for (size_t l = 0; l < W; ++l) {
-        size_t u = static_cast<size_t>(static_cast<uint32_t>(ubuf[l]));
-        ++cnt[u];
-        inc[u] += (incmask >> l) & 1;
-      }
-    }
-  }
-  for (; s < ns; ++s) {
-    SegmentUpdate(c, sdt[s], sdx[s], sdy[s], cnt, inc);
-  }
-  return static_cast<int64_t>(ns);
-}
 
 template <typename T>
 void ConvolvePrefixVec(double* f, size_t new_len, const double* b, size_t m) {

@@ -6,11 +6,8 @@
 /// TU compiled with -mavx2 (kernels_avx2.cc); the dispatcher gates
 /// execution behind a runtime CPUID check. Explicit mul/add intrinsics
 /// throughout — never FMA — to keep results bit-identical to scalar.
-/// The bucket math runs on a 128-bit vector of 4 int32 lanes paired
-/// with the 256-bit vector of 4 doubles, so every integer op and both
-/// int<->double conversions are single native instructions.
 
-#include <cstdint>
+#include <cstddef>
 #include <immintrin.h>
 
 namespace ftl::simd::internal {
@@ -18,74 +15,12 @@ namespace ftl::simd::internal {
 struct Avx2Traits {
   static constexpr size_t kLanes = 4;
   using F = __m256d;
-  using I = __m256i;    ///< kLanes x int64 (timestamp gallop)
-  using I32 = __m128i;  ///< kLanes x int32 (bucket math)
 
   static F loadu_f64(const double* p) { return _mm256_loadu_pd(p); }
   static void storeu_f64(double* p, F v) { _mm256_storeu_pd(p, v); }
-  static I loadu_i64(const int64_t* p) {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  }
   static F set1_f64(double v) { return _mm256_set1_pd(v); }
-  static I set1_i64(int64_t v) { return _mm256_set1_epi64x(v); }
-
   static F add_f64(F a, F b) { return _mm256_add_pd(a, b); }
-  static F sub_f64(F a, F b) { return _mm256_sub_pd(a, b); }
   static F mul_f64(F a, F b) { return _mm256_mul_pd(a, b); }
-
-  /// Ordered quiet compares (_OQ): false on NaN, matching scalar `>`.
-  static F cmpgt_f64(F a, F b) { return _mm256_cmp_pd(a, b, _CMP_GT_OQ); }
-  static F cmpge_f64(F a, F b) { return _mm256_cmp_pd(a, b, _CMP_GE_OQ); }
-
-  static I cmpgt_i64(I a, I b) { return _mm256_cmpgt_epi64(a, b); }
-
-  static int movemask_f64(F m) { return _mm256_movemask_pd(m); }
-  static int movemask_i64(I m) {
-    return _mm256_movemask_pd(_mm256_castsi256_pd(m));
-  }
-
-  // ------------------------------------------------ int32 lane ops
-  static I32 loadu_i32(const int32_t* p) {
-    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  }
-  static void storeu_i32(int32_t* p, I32 v) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
-  }
-  static I32 set1_i32(int32_t v) { return _mm_set1_epi32(v); }
-  static I32 add_i32(I32 a, I32 b) { return _mm_add_epi32(a, b); }
-  static I32 sub_i32(I32 a, I32 b) { return _mm_sub_epi32(a, b); }
-  static I32 cmpgt_i32(I32 a, I32 b) { return _mm_cmpgt_epi32(a, b); }
-  static I32 cmpeq_i32(I32 a, I32 b) { return _mm_cmpeq_epi32(a, b); }
-  static I32 or_i32(I32 a, I32 b) { return _mm_or_si128(a, b); }
-  static I32 broadcast0_i32(I32 v) {
-    return _mm_shuffle_epi32(v, _MM_SHUFFLE(0, 0, 0, 0));
-  }
-  static int32_t extract0_i32(I32 v) { return _mm_cvtsi128_si32(v); }
-  static int movemask_i32(I32 m) {
-    return _mm_movemask_ps(_mm_castsi128_ps(m));
-  }
-  static I32 blendv_i32(I32 a, I32 b, I32 m) {
-    // Lane masks are all-ones/all-zeros, so the per-byte blend is a
-    // per-lane blend.
-    return _mm_blendv_epi8(a, b, m);
-  }
-  static I32 mullo_i32(I32 a, I32 b) { return _mm_mullo_epi32(a, b); }
-
-  /// Exact int32 -> double (every int32 is representable).
-  static F i32_to_f64(I32 v) { return _mm256_cvtepi32_pd(v); }
-
-  /// Truncate toward zero into int32 lanes; defined for |d| < 2^31
-  /// (guarded by the caller), out-of-range lanes produce the sentinel
-  /// 0x80000000 and must be blended away.
-  static I32 f64_to_i32_trunc(F d) { return _mm256_cvttpd_epi32(d); }
-
-  /// Narrows a f64 compare mask to int32 lanes: gather the even dwords
-  /// of the four 64-bit lane masks into the low 128 bits.
-  static I32 castf_i32(F m) {
-    const __m256i idx = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
-    return _mm256_castsi256_si128(
-        _mm256_permutevar8x32_epi32(_mm256_castpd_si256(m), idx));
-  }
 };
 
 }  // namespace ftl::simd::internal

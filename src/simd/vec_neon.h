@@ -4,95 +4,22 @@
 /// \file vec_neon.h
 /// 128-bit aarch64 NEON trait for kernels_vec_impl.h (ASIMD is
 /// baseline on aarch64, so like SSE2 it needs no runtime check).
-/// aarch64 has native f64x2/i64x2 lanes and 64-bit compares; the
-/// bucket math runs on 64-bit int32x2 vectors, where every op —
-/// including the low-multiply x86 has to emulate — is native. The
-/// movemask has no hardware equivalent and is assembled from lane
-/// sign bits.
 
 #include <arm_neon.h>
 
-#include <cstdint>
+#include <cstddef>
 
 namespace ftl::simd::internal {
 
 struct NeonTraits {
   static constexpr size_t kLanes = 2;
   using F = float64x2_t;
-  using I = int64x2_t;    ///< kLanes x int64 (timestamp gallop)
-  using I32 = int32x2_t;  ///< kLanes x int32 (bucket math)
 
   static F loadu_f64(const double* p) { return vld1q_f64(p); }
   static void storeu_f64(double* p, F v) { vst1q_f64(p, v); }
-  static I loadu_i64(const int64_t* p) { return vld1q_s64(p); }
   static F set1_f64(double v) { return vdupq_n_f64(v); }
-  static I set1_i64(int64_t v) { return vdupq_n_s64(v); }
-
   static F add_f64(F a, F b) { return vaddq_f64(a, b); }
-  static F sub_f64(F a, F b) { return vsubq_f64(a, b); }
   static F mul_f64(F a, F b) { return vmulq_f64(a, b); }
-
-  /// NEON compares return false on NaN, matching scalar `>` / `>=`.
-  /// Masks are carried in the f64 type via reinterpret for trait-API
-  /// symmetry with the x86 wrappers.
-  static F cmpgt_f64(F a, F b) {
-    return vreinterpretq_f64_u64(vcgtq_f64(a, b));
-  }
-  static F cmpge_f64(F a, F b) {
-    return vreinterpretq_f64_u64(vcgeq_f64(a, b));
-  }
-
-  static I cmpgt_i64(I a, I b) {
-    return vreinterpretq_s64_u64(vcgtq_s64(a, b));
-  }
-
-  static int movemask_f64(F m) {
-    uint64x2_t u = vreinterpretq_u64_f64(m);
-    return static_cast<int>((vgetq_lane_u64(u, 0) >> 63) |
-                            ((vgetq_lane_u64(u, 1) >> 63) << 1));
-  }
-  static int movemask_i64(I m) {
-    uint64x2_t u = vreinterpretq_u64_s64(m);
-    return static_cast<int>((vgetq_lane_u64(u, 0) >> 63) |
-                            ((vgetq_lane_u64(u, 1) >> 63) << 1));
-  }
-
-  // ------------------------------------------------ int32 lane ops
-  static I32 loadu_i32(const int32_t* p) { return vld1_s32(p); }
-  static void storeu_i32(int32_t* p, I32 v) { vst1_s32(p, v); }
-  static I32 set1_i32(int32_t v) { return vdup_n_s32(v); }
-  static I32 add_i32(I32 a, I32 b) { return vadd_s32(a, b); }
-  static I32 sub_i32(I32 a, I32 b) { return vsub_s32(a, b); }
-  static I32 cmpgt_i32(I32 a, I32 b) {
-    return vreinterpret_s32_u32(vcgt_s32(a, b));
-  }
-  static I32 cmpeq_i32(I32 a, I32 b) {
-    return vreinterpret_s32_u32(vceq_s32(a, b));
-  }
-  static I32 or_i32(I32 a, I32 b) { return vorr_s32(a, b); }
-  static I32 broadcast0_i32(I32 v) { return vdup_lane_s32(v, 0); }
-  static int32_t extract0_i32(I32 v) { return vget_lane_s32(v, 0); }
-  static int movemask_i32(I32 m) {
-    uint32x2_t u = vreinterpret_u32_s32(m);
-    return static_cast<int>((vget_lane_u32(u, 0) >> 31) |
-                            ((vget_lane_u32(u, 1) >> 31) << 1));
-  }
-  static I32 blendv_i32(I32 a, I32 b, I32 m) {
-    return vbsl_s32(vreinterpret_u32_s32(m), b, a);
-  }
-  static I32 mullo_i32(I32 a, I32 b) { return vmul_s32(a, b); }
-
-  /// Exact int32 -> double: widen, then scvtf (exact for any int32).
-  static F i32_to_f64(I32 v) { return vcvtq_f64_s64(vmovl_s32(v)); }
-
-  /// fcvtzs truncates toward zero; the narrowing keeps the low 32
-  /// bits, valid under the caller's |d| < 2^31 guard.
-  static I32 f64_to_i32_trunc(F d) { return vmovn_s64(vcvtq_s64_f64(d)); }
-
-  /// Narrows a f64 compare mask to int32 lanes.
-  static I32 castf_i32(F m) {
-    return vreinterpret_s32_u32(vmovn_u64(vreinterpretq_u64_f64(m)));
-  }
 };
 
 }  // namespace ftl::simd::internal

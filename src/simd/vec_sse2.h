@@ -4,12 +4,9 @@
 /// \file vec_sse2.h
 /// 128-bit x86-64 trait for kernels_vec_impl.h, restricted to the
 /// SSE2 baseline (guaranteed on every x86-64 CPU, so the 128-bit table
-/// needs no runtime feature check). The signed 64-bit compare of the
-/// merge gallop is emulated; the bucket math runs on int32 lanes
-/// (kernels_vec_impl.h guards the value range), where SSE2 is native
-/// except for the low-multiply, assembled from pmuludq.
+/// needs no runtime feature check).
 
-#include <cstdint>
+#include <cstddef>
 #include <emmintrin.h>
 
 namespace ftl::simd::internal {
@@ -17,100 +14,12 @@ namespace ftl::simd::internal {
 struct Sse2Traits {
   static constexpr size_t kLanes = 2;
   using F = __m128d;
-  using I = __m128i;    ///< kLanes x int64 (timestamp gallop)
-  using I32 = __m128i;  ///< kLanes x int32 in the low half (bucket math)
 
   static F loadu_f64(const double* p) { return _mm_loadu_pd(p); }
   static void storeu_f64(double* p, F v) { _mm_storeu_pd(p, v); }
-  static I loadu_i64(const int64_t* p) {
-    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  }
   static F set1_f64(double v) { return _mm_set1_pd(v); }
-  static I set1_i64(int64_t v) { return _mm_set1_epi64x(v); }
-
   static F add_f64(F a, F b) { return _mm_add_pd(a, b); }
-  static F sub_f64(F a, F b) { return _mm_sub_pd(a, b); }
   static F mul_f64(F a, F b) { return _mm_mul_pd(a, b); }
-
-  /// SSE2 quiet ordered compares: cmpgt/cmpge are false on NaN, the
-  /// same outcome as the scalar `>` the kernels mirror.
-  static F cmpgt_f64(F a, F b) { return _mm_cmpgt_pd(a, b); }
-  static F cmpge_f64(F a, F b) { return _mm_cmpge_pd(a, b); }
-
-  /// Signed 64-bit a > b without SSE4.2's pcmpgtq:
-  /// a > b  <=>  a_hi > b_hi  ||  (a_hi == b_hi && a_lo >u b_lo),
-  /// assembled from 32-bit compares (the unsigned low compare biases
-  /// both operands by 2^31), then the high dword's verdict is smeared
-  /// across its 64-bit lane.
-  static I cmpgt_i64(I a, I b) {
-    const __m128i bias = _mm_set1_epi32(static_cast<int>(0x80000000u));
-    __m128i hi_gt = _mm_cmpgt_epi32(a, b);
-    __m128i eq = _mm_cmpeq_epi32(a, b);
-    __m128i lo_gt =
-        _mm_cmpgt_epi32(_mm_xor_si128(a, bias), _mm_xor_si128(b, bias));
-    // Move each lane's low-dword verdict into its high-dword position.
-    __m128i lo_gt_hi = _mm_shuffle_epi32(lo_gt, _MM_SHUFFLE(2, 2, 0, 0));
-    __m128i r = _mm_or_si128(hi_gt, _mm_and_si128(eq, lo_gt_hi));
-    // Smear the high dword's sign across the lane.
-    return _mm_shuffle_epi32(_mm_srai_epi32(r, 31), _MM_SHUFFLE(3, 3, 1, 1));
-  }
-
-  static int movemask_f64(F m) { return _mm_movemask_pd(m); }
-  static int movemask_i64(I m) {
-    return _mm_movemask_pd(_mm_castsi128_pd(m));
-  }
-
-  // ------------------------------------------------ int32 lane ops
-  static I32 loadu_i32(const int32_t* p) {
-    return _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
-  }
-  static void storeu_i32(int32_t* p, I32 v) {
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(p), v);
-  }
-  static I32 set1_i32(int32_t v) { return _mm_set1_epi32(v); }
-  static I32 add_i32(I32 a, I32 b) { return _mm_add_epi32(a, b); }
-  static I32 sub_i32(I32 a, I32 b) { return _mm_sub_epi32(a, b); }
-  static I32 cmpgt_i32(I32 a, I32 b) { return _mm_cmpgt_epi32(a, b); }
-  static I32 cmpeq_i32(I32 a, I32 b) { return _mm_cmpeq_epi32(a, b); }
-  static I32 or_i32(I32 a, I32 b) { return _mm_or_si128(a, b); }
-  static I32 broadcast0_i32(I32 v) {
-    return _mm_shuffle_epi32(v, _MM_SHUFFLE(0, 0, 0, 0));
-  }
-  static int32_t extract0_i32(I32 v) { return _mm_cvtsi128_si32(v); }
-  /// Lane sign bits of the kLanes int32 lanes (upper dwords of the
-  /// register are unused here and their bits must be masked by the
-  /// caller via kFullMask).
-  static int movemask_i32(I32 m) {
-    return _mm_movemask_ps(_mm_castsi128_ps(m));
-  }
-  static I32 blendv_i32(I32 a, I32 b, I32 m) {
-    return _mm_or_si128(_mm_andnot_si128(m, a), _mm_and_si128(m, b));
-  }
-
-  /// Elementwise low 32 bits of the product (no pmulld before SSE4.1):
-  /// spread both operands' lanes to the even dword positions pmuludq
-  /// reads, multiply, and compress the 64-bit products' low dwords
-  /// back. Low 32 bits are sign-agnostic.
-  static I32 mullo_i32(I32 a, I32 b) {
-    __m128i av = _mm_shuffle_epi32(a, _MM_SHUFFLE(1, 1, 0, 0));
-    __m128i bv = _mm_shuffle_epi32(b, _MM_SHUFFLE(1, 1, 0, 0));
-    __m128i p = _mm_mul_epu32(av, bv);
-    return _mm_shuffle_epi32(p, _MM_SHUFFLE(3, 3, 2, 0));
-  }
-
-  /// Exact int32 -> double (every int32 is representable).
-  static F i32_to_f64(I32 v) { return _mm_cvtepi32_pd(v); }
-
-  /// Truncate toward zero into int32 lanes; defined for |d| < 2^31
-  /// (guarded by the caller), out-of-range lanes produce the sentinel
-  /// 0x80000000 and must be blended away.
-  static I32 f64_to_i32_trunc(F d) { return _mm_cvttpd_epi32(d); }
-
-  /// Narrows a f64 compare mask to int32 lanes (dwords 0 and 2 of the
-  /// 64-bit lane masks are already all-ones / all-zeros).
-  static I32 castf_i32(F m) {
-    return _mm_shuffle_epi32(_mm_castpd_si128(m), _MM_SHUFFLE(3, 3, 2, 0));
-  }
 };
 
 }  // namespace ftl::simd::internal

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <deque>
 #include <filesystem>
 #include <utility>
@@ -233,12 +234,6 @@ Result<core::QueryResult> StoreSnapshot::Query(
     const core::FtlEngine& engine, const traj::Trajectory& query,
     core::Matcher matcher, const core::QueryOptions* qopts,
     size_t num_threads) const {
-  if (!engine.options().evaluate_non_overlapping) {
-    return Status::FailedPrecondition(
-        "store snapshot queries require evaluate_non_overlapping (the "
-        "multi-segment fan-out would diverge from a merged database "
-        "otherwise)");
-  }
   if (empty()) {
     // Match the engine's wording for an empty merged database.
     return Status::InvalidArgument("candidate database is empty");
@@ -620,6 +615,11 @@ Status Store::Append(const IngestBatch& batch) {
     }
     if (row.label.size() > 65536) {
       return Status::InvalidArgument("ingest label longer than 65536 bytes");
+    }
+    // Rejected before the WAL: every flush re-reads its segment through
+    // ReadFtb, which refuses non-finite coordinates.
+    if (!std::isfinite(row.x) || !std::isfinite(row.y)) {
+      return Status::InvalidArgument("ingest row with non-finite coordinate");
     }
   }
   std::lock_guard<std::mutex> lock(mu_);

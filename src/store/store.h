@@ -160,10 +160,9 @@ class StoreSnapshot {
   /// plus the memtable and the cross-segment overlay, concatenates in
   /// canonical order, and re-applies the engine's stable score sort.
   /// Byte-identical to engine.Query(query, MaterializeAll(), matcher)
-  /// — candidate indices are canonical global indices. Requires
-  /// engine.options().evaluate_non_overlapping (the default);
-  /// FailedPrecondition otherwise. `qopts` may be null; a fired
-  /// deadline yields a truncated prefix of the canonical order.
+  /// — candidate indices are canonical global indices. `qopts` may be
+  /// null; a fired deadline yields a truncated prefix of the canonical
+  /// order.
   ///
   /// `num_threads > 1` shards the fan-out: the plan is cut into
   /// per-segment candidate chunks that score in parallel on that many

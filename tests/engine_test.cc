@@ -3,7 +3,6 @@
 #include "core/engine.h"
 #include "obs/metrics.h"
 #include "sim/population_sim.h"
-#include "traj/alignment.h"
 
 namespace ftl::core {
 namespace {
@@ -210,44 +209,6 @@ TEST(EngineTest, LooserPhiRGivesMoreCandidates) {
   EXPECT_LE(n_strict, n_loose);
 }
 
-TEST(EngineTest, NonOverlapSkipOnlyRemovesDisjointCandidates) {
-  auto data = TestPopulation(30, 44);
-  EngineOptions all_opts = TestOptions();
-  EngineOptions skip_opts = TestOptions();
-  skip_opts.evaluate_non_overlapping = false;
-  FtlEngine all_engine(all_opts), skip_engine(skip_opts);
-  ASSERT_TRUE(all_engine.Train(data.cdr_db, data.transit_db).ok());
-  ASSERT_TRUE(skip_engine.Train(data.cdr_db, data.transit_db).ok());
-  for (size_t qi = 0; qi < 5; ++qi) {
-    auto ra = all_engine.Query(data.cdr_db[qi], data.transit_db,
-                               Matcher::kNaiveBayes);
-    auto rs = skip_engine.Query(data.cdr_db[qi], data.transit_db,
-                                Matcher::kNaiveBayes);
-    ASSERT_TRUE(ra.ok());
-    ASSERT_TRUE(rs.ok());
-    // Skipped-variant results are a subset of the full results, and any
-    // dropped candidate has zero time-span overlap with the query.
-    for (const auto& c : rs.value().candidates) {
-      bool found = false;
-      for (const auto& f : ra.value().candidates) {
-        if (f.index == c.index) found = true;
-      }
-      EXPECT_TRUE(found);
-    }
-    for (const auto& f : ra.value().candidates) {
-      bool kept = false;
-      for (const auto& c : rs.value().candidates) {
-        if (c.index == f.index) kept = true;
-      }
-      if (!kept) {
-        EXPECT_EQ(traj::TimeSpanOverlapSeconds(
-                      data.cdr_db[qi], data.transit_db[f.index]),
-                  0);
-      }
-    }
-  }
-}
-
 TEST(EngineTest, AlphaFilterSkipsP2WhenRejected) {
   // A rejected candidate must report p1 < alpha1 and the default p2
   // (never computed) — documents the lazy-evaluation contract.
@@ -339,12 +300,10 @@ TEST(EngineTest, QueryBumpsObservabilityCounters) {
                         Matcher::kAlphaFilter, 1);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(queries.Value() - q0, 1);
-  // Every scored pair lands in exactly one of the three tail outcomes
-  // (the non-overlap pre-filter may skip some candidates entirely, so
-  // the total is bounded by, not equal to, the database size).
+  // Every candidate is scored, and every scored pair lands in exactly
+  // one of the three tail outcomes.
   int64_t dc = cands.Value() - c0;
-  EXPECT_GT(dc, 0);
-  EXPECT_LE(dc, static_cast<int64_t>(data.transit_db.size()));
+  EXPECT_EQ(dc, static_cast<int64_t>(data.transit_db.size()));
   EXPECT_EQ((fast.Value() - f0) + (exact.Value() - e0) + (rna.Value() - r0),
             dc);
   EXPECT_EQ(latency.Count() - l0, 1);

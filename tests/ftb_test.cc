@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -401,6 +402,37 @@ TEST_F(FtbTest, RejectsOverlappingSections) {
   auto r = io::ReadFtb(path_);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().ToString().find("overlap"), std::string::npos);
+}
+
+TEST_F(FtbTest, RejectsNonFiniteCoordinates) {
+  // WriteFtb serializes whatever it is handed, but ReadCsv and
+  // Store::Append refuse non-finite coordinates, so the reader must
+  // too: a NaN coordinate would score every segment it touches as
+  // compatible, and a CSV export of the file would not load.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (geo::Point bad : {geo::Point{nan, 4.0}, geo::Point{3.0, -inf}}) {
+    traj::TrajectoryDatabase db("non-finite");
+    ASSERT_TRUE(db.Add(traj::Trajectory("ok", 1, {{{0.0, 0.0}, 0}})).ok());
+    ASSERT_TRUE(db.Add(traj::Trajectory("bad", 2,
+                                        {{{1.5, -2.25}, -100},
+                                         {bad, 0},
+                                         {{-5.125, 6.5}, 42}}))
+                    .ok());
+    ASSERT_TRUE(io::WriteFtb(db, path_).ok());
+    for (bool mmap : {true, false}) {
+      io::FtbReadOptions opts;
+      opts.prefer_mmap = mmap;
+      auto r = io::ReadFtb(path_, opts);
+      ASSERT_FALSE(r.ok()) << "mmap=" << mmap;
+      EXPECT_EQ(r.status().code(), StatusCode::kIOError);
+      EXPECT_NE(r.status().ToString().find("FTB corruption"),
+                std::string::npos);
+      EXPECT_NE(r.status().ToString().find("non-finite coordinate"),
+                std::string::npos)
+          << r.status().ToString();
+    }
+  }
 }
 
 TEST_F(FtbTest, DefaultConstructedFlatDatabaseWrites) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "core/alpha_filter.h"
@@ -8,6 +10,8 @@
 #include "core/model_builders.h"
 #include "stats/grouped_poisson_binomial.h"
 #include "stats/poisson_binomial.h"
+#include "traj/database.h"
+#include "traj/flat_database.h"
 #include "util/rng.h"
 
 namespace ftl::stats {
@@ -182,45 +186,77 @@ traj::Record R(double x, double y, traj::Timestamp t) {
 
 // ----------------------------- bucket evidence vs per-segment evidence
 
+/// Field-by-field equality of two bucket histograms over the
+/// informative units (the paper form leaves the overflow slot empty).
+void ExpectSameEvidence(const BucketEvidence& got, const BucketEvidence& want,
+                        const std::string& what) {
+  EXPECT_EQ(got.informative, want.informative) << what;
+  EXPECT_EQ(got.k_observed, want.k_observed) << what;
+  EXPECT_EQ(got.total_mutual, want.total_mutual) << what;
+  EXPECT_EQ(got.beyond_horizon_incompatible, want.beyond_horizon_incompatible)
+      << what;
+  ASSERT_EQ(got.horizon_units(), want.horizon_units()) << what;
+  for (size_t u = 0; u < got.horizon_units(); ++u) {
+    EXPECT_EQ(got.count[u], want.count[u]) << what << " unit " << u;
+    EXPECT_EQ(got.incompatible[u], want.incompatible[u])
+        << what << " unit " << u;
+  }
+}
+
 TEST(BucketEvidenceTest, MatchesPerSegmentCollectionOnRandomPairs) {
+  // The one evidence walk, read through both storage layouts, against
+  // the paper-form per-segment collection folded into buckets. The
+  // inputs reach the walk's corners: duplicate timestamps within and
+  // across P and Q (the P-first tie rule), empty and single-record
+  // sides, odd and long runs, spans far past 2^31 s, a time unit past
+  // 2^32 s, a zero horizon (every segment overflows) and a zero speed.
+  const EvidenceOptions option_sets[] = {
+      {20.0, 60, 12},
+      {33.3, 60, 60},               // production shape
+      {0.0, 1, 0},                  // zero speed, zero horizon
+      {1.0, 7, 3},                  // odd unit, tiny horizon
+      {33.3, int64_t{1} << 33, 60}  // unit past 2^32 s
+  };
+  const size_t lengths[] = {0, 1, 2, 3, 5, 7, 8, 13, 64, 65, 127, 200};
   Rng rng(11);
-  EvidenceOptions options;
-  options.vmax_mps = 20.0;
-  options.time_unit_seconds = 60;
-  options.horizon_units = 12;
-  BucketEvidence fast;
-  BucketEvidence reference;
-  for (int trial = 0; trial < 60; ++trial) {
-    std::vector<traj::Record> pr, qr;
-    size_t np = rng.Index(30);
-    size_t nq = rng.Index(30);
-    int64_t tp = 0, tq = 0;
-    for (size_t i = 0; i < np; ++i) {
-      tp += rng.UniformInt(0, 400);
-      pr.push_back(R(rng.Uniform(0, 5000), rng.Uniform(0, 5000), tp));
+  // Sorted records from a shared time base; 20% zero steps.
+  auto random_records = [&rng](size_t n, int64_t max_step) {
+    std::vector<traj::Record> out;
+    int64_t t = 1'000'000;
+    for (size_t i = 0; i < n; ++i) {
+      if (!rng.Bernoulli(0.2)) t += rng.UniformInt(0, max_step);
+      out.push_back(R(rng.Uniform(-5000, 5000), rng.Uniform(-5000, 5000), t));
     }
-    for (size_t i = 0; i < nq; ++i) {
-      tq += rng.UniformInt(0, 400);
-      qr.push_back(R(rng.Uniform(0, 5000), rng.Uniform(0, 5000), tq));
-    }
-    traj::Trajectory p("p", 0, std::move(pr));
-    traj::Trajectory q("q", 1, std::move(qr));
-    CollectEvidence(p, q, options, &fast);
+    return out;
+  };
+  BucketEvidence aos, soa, reference;
+  for (int trial = 0; trial < 300; ++trial) {
+    const EvidenceOptions& options = option_sets[trial % 5];
+    const int64_t max_step = trial % 3 == 2 ? int64_t{1} << 40 : 150;
+    const size_t np = lengths[rng.Index(std::size(lengths))];
+    const size_t nq = lengths[rng.Index(std::size(lengths))];
+    traj::TrajectoryDatabase pdb("p"), qdb("q");
+    ASSERT_TRUE(
+        pdb.Add(traj::Trajectory("p", 0, random_records(np, max_step))).ok());
+    ASSERT_TRUE(
+        qdb.Add(traj::Trajectory("q", 1, random_records(nq, max_step))).ok());
+    const traj::FlatDatabase pflat = traj::FlatDatabase::FromDatabase(pdb);
+    const traj::FlatDatabase qflat = traj::FlatDatabase::FromDatabase(qdb);
+    const traj::Trajectory& p = pdb[0];
+    const traj::Trajectory& q = qdb[0];
+
+    CollectEvidence(p, q, options, &aos);
+    CollectEvidence(pflat[0], qflat[0], options, &soa);
     CompactEvidence(CollectEvidence(p, q, options),
                     static_cast<size_t>(options.horizon_units), &reference);
-    EXPECT_EQ(fast.informative, reference.informative) << "trial " << trial;
-    EXPECT_EQ(fast.k_observed, reference.k_observed) << "trial " << trial;
-    EXPECT_EQ(fast.total_mutual, reference.total_mutual) << "trial " << trial;
-    EXPECT_EQ(fast.beyond_horizon_incompatible,
-              reference.beyond_horizon_incompatible)
-        << "trial " << trial;
-    ASSERT_EQ(fast.horizon_units(), reference.horizon_units());
-    for (size_t u = 0; u < fast.horizon_units(); ++u) {
-      EXPECT_EQ(fast.count[u], reference.count[u])
-          << "trial " << trial << " unit " << u;
-      EXPECT_EQ(fast.incompatible[u], reference.incompatible[u])
-          << "trial " << trial << " unit " << u;
-    }
+    const std::string what = "trial " + std::to_string(trial) +
+                             " np=" + std::to_string(np) +
+                             " nq=" + std::to_string(nq);
+    ExpectSameEvidence(aos, reference, what + " (AoS)");
+    ExpectSameEvidence(soa, reference, what + " (SoA)");
+    // The layouts agree on the overflow slot too.
+    EXPECT_EQ(soa.count, aos.count) << what;
+    EXPECT_EQ(soa.incompatible, aos.incompatible) << what;
   }
 }
 

@@ -1,17 +1,14 @@
 // Property tests for the SIMD kernel layer: every compiled-in ISA
-// level must be bit-identical to the scalar reference — histograms,
-// convolutions, and end-to-end accept decisions — across randomized
-// inputs that exercise the corners the vector paths special-case:
-// NaN coordinates, duplicate timestamps (P-first merge ties), empty
-// buckets, length-0/1 and odd-length columns (vector remainder tails),
-// and timestamp spans past the int32 staging guard.
+// level must be bit-identical to the scalar reference — the
+// Poisson-Binomial tail convolutions on randomized inputs, and
+// end-to-end accept decisions — and the dispatcher must never select a
+// level the build or CPU cannot run. The evidence walk has no vector
+// tier; its corner cases are covered in grouped_pb_test.cc.
 
 #include "simd/dispatch.h"
 
-#include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <random>
 #include <vector>
 
@@ -30,121 +27,6 @@ std::vector<simd::IsaLevel> VectorLevels() {
     if (simd::KernelsFor(l) != nullptr) out.push_back(l);
   }
   return out;
-}
-
-struct Columns {
-  std::vector<int64_t> ts;
-  std::vector<double> xs, ys;
-};
-
-/// Random sorted trajectory columns. Zero increments are common (20%)
-/// so P/Q merges hit duplicate timestamps and the P-first tie rule;
-/// 5% of coordinates are NaN (the speed compare must treat them as
-/// compatible, exactly like scalar).
-Columns RandomColumns(std::mt19937_64& rng, size_t n, int64_t t0,
-                      int64_t max_step) {
-  std::uniform_int_distribution<int64_t> step(0, max_step);
-  std::uniform_real_distribution<double> coord(-5000.0, 5000.0);
-  std::uniform_real_distribution<double> u01(0.0, 1.0);
-  Columns c;
-  int64_t t = t0;
-  for (size_t i = 0; i < n; ++i) {
-    t += u01(rng) < 0.2 ? 0 : step(rng);
-    c.ts.push_back(t);
-    c.xs.push_back(u01(rng) < 0.05
-                       ? std::numeric_limits<double>::quiet_NaN()
-                       : coord(rng));
-    c.ys.push_back(u01(rng) < 0.05
-                       ? std::numeric_limits<double>::quiet_NaN()
-                       : coord(rng));
-  }
-  return c;
-}
-
-/// Runs `level`'s evidence kernel and requires byte-identical counts,
-/// incompatibles, and return value vs the scalar reference.
-void ExpectEvidenceIdentical(const Columns& p, const Columns& q,
-                             const simd::EvidenceParams& params,
-                             simd::IsaLevel level,
-                             simd::EvidenceScratch* scratch) {
-  const simd::Kernels* scalar = simd::KernelsFor(simd::IsaLevel::kScalar);
-  const simd::Kernels* vec = simd::KernelsFor(level);
-  ASSERT_NE(scalar, nullptr);
-  ASSERT_NE(vec, nullptr);
-  const size_t slots = static_cast<size_t>(params.horizon_units) + 1;
-  std::vector<int32_t> cnt_s(slots, 0), inc_s(slots, 0);
-  std::vector<int32_t> cnt_v(slots, 0), inc_v(slots, 0);
-  int64_t r_s = scalar->evidence_histogram(
-      p.ts.data(), p.xs.data(), p.ys.data(), p.ts.size(), q.ts.data(),
-      q.xs.data(), q.ys.data(), q.ts.size(), params, cnt_s.data(),
-      inc_s.data(), nullptr);
-  int64_t r_v = vec->evidence_histogram(
-      p.ts.data(), p.xs.data(), p.ys.data(), p.ts.size(), q.ts.data(),
-      q.xs.data(), q.ys.data(), q.ts.size(), params, cnt_v.data(),
-      inc_v.data(), scratch);
-  EXPECT_EQ(r_s, r_v) << "np=" << p.ts.size() << " nq=" << q.ts.size();
-  EXPECT_EQ(0, std::memcmp(cnt_s.data(), cnt_v.data(),
-                           slots * sizeof(int32_t)))
-      << "count histograms differ (np=" << p.ts.size()
-      << " nq=" << q.ts.size() << ")";
-  EXPECT_EQ(0, std::memcmp(inc_s.data(), inc_v.data(),
-                           slots * sizeof(int32_t)))
-      << "incompatible histograms differ (np=" << p.ts.size()
-      << " nq=" << q.ts.size() << ")";
-}
-
-TEST(SimdKernelsTest, EvidenceHistogramMatchesScalarOnRandomTrajectories) {
-  auto levels = VectorLevels();
-  if (levels.empty()) GTEST_SKIP() << "scalar-only build";
-  std::mt19937_64 rng(0x5eed5eedULL);
-  simd::EvidenceScratch scratch;
-  const simd::EvidenceParams param_sets[] = {
-      {60, 60, 33.3},  // production shape
-      {1, 0, 0.0},     // 1s units, horizon 0: everything overflows
-      {7, 3, 1.0},     // odd unit, tiny horizon
-      {3600, 24, 250.0},
-  };
-  // Lengths stress the vector remainder tails: empty, single-record,
-  // below one vector width, odd, and long enough for many full blocks.
-  const size_t lengths[] = {0, 1, 2, 3, 5, 7, 8, 13, 64, 127, 200};
-  std::uniform_int_distribution<size_t> pick(0, std::size(lengths) - 1);
-  for (int trial = 0; trial < 300; ++trial) {
-    const auto& params = param_sets[trial % std::size(param_sets)];
-    size_t np = lengths[pick(rng)];
-    size_t nq = lengths[pick(rng)];
-    // Shared time base so P/Q timestamps collide often.
-    int64_t t0 = 1'000'000 + (trial % 7) * 31;
-    Columns p = RandomColumns(rng, np, t0, 150);
-    Columns q = RandomColumns(rng, nq, t0, 150);
-    for (simd::IsaLevel level : levels) {
-      ExpectEvidenceIdentical(p, q, params, level, &scratch);
-      // Null scratch must defer to the scalar path, not crash.
-      ExpectEvidenceIdentical(p, q, params, level, nullptr);
-    }
-  }
-}
-
-TEST(SimdKernelsTest, EvidenceHistogramMatchesScalarPastInt32SpanGuard) {
-  auto levels = VectorLevels();
-  if (levels.empty()) GTEST_SKIP() << "scalar-only build";
-  std::mt19937_64 rng(0xabcdefULL);
-  simd::EvidenceScratch scratch;
-  simd::EvidenceParams params{60, 60, 33.3};
-  // Steps up to 2^40 seconds push the merged span far past what the
-  // int32 dt staging can hold; the vector kernels must take their
-  // scalar fallback and stay bit-identical.
-  Columns p = RandomColumns(rng, 50, 0, int64_t{1} << 40);
-  Columns q = RandomColumns(rng, 50, 0, int64_t{1} << 40);
-  for (simd::IsaLevel level : levels) {
-    ExpectEvidenceIdentical(p, q, params, level, &scratch);
-  }
-  // Huge time units disable the int32 unit math the same way.
-  simd::EvidenceParams huge_unit{int64_t{1} << 33, 60, 33.3};
-  Columns p2 = RandomColumns(rng, 40, 0, 150);
-  Columns q2 = RandomColumns(rng, 40, 0, 150);
-  for (simd::IsaLevel level : levels) {
-    ExpectEvidenceIdentical(p2, q2, huge_unit, level, &scratch);
-  }
 }
 
 TEST(SimdKernelsTest, ConvolutionKernelsMatchScalarOnRandomInputs) {

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -379,6 +380,34 @@ TEST(StoreTest, AppendValidation) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(StoreTest, AppendRejectsNonFiniteCoordinates) {
+  // A non-finite row must be refused before it reaches the WAL: a
+  // flush re-reads every segment through ReadFtb, which rejects it, so
+  // an acked NaN/inf would make the store unflushable.
+  std::string dir = FreshDir("store_nonfinite");
+  auto s = store::Store::Open(dir, SmallStoreOptions());
+  ASSERT_TRUE(s.ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (auto [x, y] : {std::pair{1e6, nan}, std::pair{inf, 0.0},
+                      std::pair{-inf, -inf}}) {
+    store::IngestBatch batch = MakeBatch("veh", 0, 3);
+    batch.rows[1].x = x;
+    batch.rows[1].y = y;
+    EXPECT_EQ(s.value()->Append(batch).code(), StatusCode::kInvalidArgument)
+        << "x=" << x << " y=" << y;
+  }
+  // Nothing was acked, and the finite remainder still ingests, flushes
+  // and survives a reopen.
+  EXPECT_EQ(s.value()->total_records(), 0u);
+  ASSERT_TRUE(s.value()->Append(MakeBatch("veh", 0, 3)).ok());
+  ASSERT_TRUE(s.value()->Flush().ok());
+  s.value().reset();
+  auto reopened = store::Store::Open(dir, SmallStoreOptions());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened.value()->total_records(), 3u);
+}
+
 TEST(StoreTest, FlushReopenEquivalence) {
   std::string dir = FreshDir("store_reopen");
   std::vector<store::IngestBatch> batches;
@@ -692,18 +721,6 @@ TEST_F(StoreQueryTest, RankMatchesMergedDatabaseSubset) {
                 .status()
                 .code(),
             StatusCode::kNotFound);
-}
-
-TEST_F(StoreQueryTest, QueryRequiresEvaluateNonOverlapping) {
-  core::EngineOptions eo = engine_->options();
-  eo.evaluate_non_overlapping = false;
-  core::FtlEngine other(eo);
-  ASSERT_TRUE(other.Train(p_, merged_).ok());
-  auto snap = store_->Snapshot();
-  EXPECT_EQ(snap->Query(other, p_[0], core::Matcher::kNaiveBayes, nullptr)
-                .status()
-                .code(),
-            StatusCode::kFailedPrecondition);
 }
 
 // --------------------------------------------------------------------------
