@@ -3,7 +3,8 @@
 // exhaustive scoring at 10k / 100k / 1M candidate trajectories, and
 // verifies that guaranteed mode keeps engine results byte-identical.
 //
-// Emits BENCH_index.json (path overridable via argv[1]); CI runs a
+// Emits BENCH_index.json (path overridable via argv[1]), with the
+// commit/host/nproc/isa header bench_e2e artifacts carry; CI runs a
 // small configuration and asserts the guaranteed gates:
 //   FTL_BENCH_BLOCKING_SCALES   comma list of db sizes
 //                               (default "10000,100000,1000000")
@@ -22,9 +23,11 @@
 #include <string>
 #include <vector>
 
+#include "bench/e2e/artifact.h"
 #include "bench_common.h"
 #include "ftl/ftl.h"
 #include "obs/metrics.h"
+#include "util/stopwatch.h"
 
 namespace {
 
@@ -179,6 +182,10 @@ int main(int argc, char** argv) {
   }
   std::vector<size_t> scales =
       ParseScales(std::getenv("FTL_BENCH_BLOCKING_SCALES"), nq);
+  // window_s is filled in with the run's length.
+  Stopwatch run_sw;
+  bench_e2e::ArtifactHeader header =
+      bench_e2e::MakeArtifactHeader("fleet", bench::BenchSeed(), 0.0);
 
   // Train once on a small slice: models depend on the mobility regime,
   // not the candidate count, and one engine keeps the guarantee
@@ -348,13 +355,18 @@ int main(int argc, char** argv) {
     mode_json("aggressive", ag, true);
     std::fprintf(f, "    }%s\n", si + 1 == scales.size() ? "" : ",");
   }
+  header.window_s = run_sw.ElapsedSeconds();
+  io::JsonWriter hw;
+  bench_e2e::WriteArtifactHeader(header, &hw);
   std::fprintf(f,
                "  ],\n  \"guaranteed_byte_identical\": %s,\n"
                "  \"guaranteed_recall_min\": %.6f,\n"
                "  \"guaranteed_reduction_min_x\": %.3f,\n"
-               "  \"metrics\": %s\n}\n",
+               "  \"metrics\": %s,\n"
+               "  \"header\": %s\n}\n",
                all_identical ? "true" : "false", min_guaranteed_recall,
-               worst_guaranteed_reduction, ftl::obs::DumpJson().c_str());
+               worst_guaranteed_reduction, ftl::obs::DumpJson().c_str(),
+               hw.str().c_str());
   std::fclose(f);
 
   std::printf(

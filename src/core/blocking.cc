@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "util/stopwatch.h"
@@ -20,7 +21,7 @@ constexpr double kMaxCellCoord = 1073741824.0;  // 2^30
 /// A candidate whose span covers more buckets than this goes to the
 /// always-checked overflow list instead of one posting per bucket,
 /// bounding index size against epoch-spanning outliers.
-constexpr int64_t kMaxSpanBuckets = 1024;
+constexpr uint64_t kMaxSpanBuckets = 1024;
 
 int32_t CellCoord(double v, double cell_size) {
   double c = std::floor(v / cell_size);
@@ -129,14 +130,50 @@ std::pair<int64_t, int64_t> TimeSpan(const TrajT& t) {
   return {lo, hi};
 }
 
-struct KeyEntry {
+/// One posting as Build emits it, in ascending candidate order
+/// (weight: the record count, for occupancy).
+struct PostingRow {
   int64_t key;
   uint32_t cand;
   uint32_t weight;
-  bool operator<(const KeyEntry& o) const {
-    return key != o.key ? key < o.key : cand < o.cand;
-  }
 };
+
+/// Widest radix digit; the digit table holds at most 2^16 counts.
+constexpr int kMaxDigitBits = 16;
+
+/// Stable LSD radix sort of `rows` on key − min key, computed in uint64
+/// so any int64 range works. The passes cover only the bits that range
+/// spans, in as few digits of at most kMaxDigitBits as fit (one pass
+/// for a few thousand buckets, a few for packed cell keys). Memory is
+/// `spare` (resized to the rows) plus the digit table, never a slot per
+/// key. Stability keeps each key's rows in candidate order.
+void SortByKey(std::vector<PostingRow>* rows, std::vector<PostingRow>* spare) {
+  const size_t n = rows->size();
+  if (n < 2) return;
+  const auto [lo, hi] = std::minmax_element(
+      rows->begin(), rows->end(),
+      [](const PostingRow& a, const PostingRow& b) { return a.key < b.key; });
+  const uint64_t base = static_cast<uint64_t>(lo->key);
+  const uint64_t range = static_cast<uint64_t>(hi->key) - base;
+  if (range == 0) return;
+  const int bits = 64 - __builtin_clzll(range);
+  const int passes = (bits + kMaxDigitBits - 1) / kMaxDigitBits;
+  const int digit_bits = (bits + passes - 1) / passes;
+  const uint64_t mask = (uint64_t{1} << digit_bits) - 1;
+  std::vector<size_t> next(size_t{1} << digit_bits);
+  spare->resize(n);
+  for (int shift = 0; shift < bits; shift += digit_bits) {
+    auto digit = [&](const PostingRow& r) {
+      return ((static_cast<uint64_t>(r.key) - base) >> shift) & mask;
+    };
+    std::fill(next.begin(), next.end(), size_t{0});
+    for (const PostingRow& r : *rows) ++next[digit(r)];
+    size_t at = 0;
+    for (size_t& slot : next) at += std::exchange(slot, at);
+    for (const PostingRow& r : *rows) (*spare)[next[digit(r)]++] = r;
+    rows->swap(*spare);
+  }
+}
 
 }  // namespace
 
@@ -210,76 +247,99 @@ void BlockingIndex::Build(const DbT& db) {
   num_candidates_ = n;
   spans_.assign(n, {1, 0});  // (1, 0): empty span, never overlaps
 
+  // Each list is emitted in candidate order into `rows`, then
+  // radix-sorted on its key and flattened; `rows` and `spare` are
+  // reused from list to list. Occupancy and cells emit at most one row
+  // per record.
   const int64_t bucket = options_.time_bucket_seconds;
-  const double cell = options_.cell_size_meters;
-  std::vector<KeyEntry> occ, spn, cel;
-  std::vector<int64_t> tmp;
-  for (size_t i = 0; i < n; ++i) {
-    const auto& t = db[i];
-    const size_t m = t.size();
-    if (m == 0) continue;
-    const uint32_t cand = static_cast<uint32_t>(i);
-
-    // Occupancy: one (bucket, record count) posting per occupied
-    // bucket; also the exact span, as a true min/max over records.
-    auto [lo, hi] = TimeSpan(t);
-    spans_[i] = {lo, hi};
-    tmp.clear();
-    for (size_t j = 0; j < m; ++j) tmp.push_back(FloorDiv(t[j].t, bucket));
-    std::sort(tmp.begin(), tmp.end());
-    for (size_t j = 0; j < tmp.size();) {
-      size_t k = j;
-      while (k < tmp.size() && tmp[k] == tmp[j]) ++k;
-      occ.push_back({tmp[j], cand, static_cast<uint32_t>(k - j)});
-      j = k;
-    }
-
-    // Span coverage: every bucket in [bucket(lo), bucket(hi)], unless
-    // the span is so long it would bloat the lists.
-    if (options_.use_temporal) {
-      int64_t b0 = FloorDiv(lo, bucket), b1 = FloorDiv(hi, bucket);
-      if (b1 - b0 >= kMaxSpanBuckets) {
-        span_overflow_.push_back(cand);
-      } else {
-        for (int64_t b = b0; b <= b1; ++b) spn.push_back({b, cand, 1});
-      }
-    }
-
-    // Spatial cells: deduplicated per candidate.
-    if (options_.use_spatial) {
-      tmp.clear();
-      for (size_t j = 0; j < m; ++j) {
-        const auto r = t[j];
-        tmp.push_back(CellKey(CellCoord(r.location.x, cell),
-                              CellCoord(r.location.y, cell)));
-      }
-      std::sort(tmp.begin(), tmp.end());
-      tmp.erase(std::unique(tmp.begin(), tmp.end()), tmp.end());
-      for (int64_t c : tmp) cel.push_back({c, cand, 1});
-    }
-  }
-
-  auto flatten = [](std::vector<KeyEntry>* in, PostingLists* out,
-                    bool keep_weight) {
-    std::sort(in->begin(), in->end());
-    out->keys.clear();
-    out->begin.clear();
-    out->entry.reserve(in->size());
-    for (const KeyEntry& e : *in) {
-      if (out->keys.empty() || out->keys.back() != e.key) {
-        out->keys.push_back(e.key);
+  std::vector<PostingRow> rows, spare;
+  size_t records = 0;
+  for (size_t i = 0; i < n; ++i) records += db[i].size();
+  rows.reserve(records);
+  // Rows that repeat a (key, candidate) pair are adjacent after the
+  // stable sort: runs of one candidate's bucket or cell that
+  // out-of-order records or revisits split. They merge into one
+  // posting, weights summed.
+  auto flatten = [&rows, &spare](PostingLists* out, bool keep_weight) {
+    SortByKey(&rows, &spare);
+    out->entry.reserve(rows.size());
+    if (keep_weight) out->weight.reserve(rows.size());
+    for (const PostingRow& r : rows) {
+      if (out->keys.empty() || out->keys.back() != r.key) {
+        out->keys.push_back(r.key);
         out->begin.push_back(static_cast<uint32_t>(out->entry.size()));
+      } else if (out->entry.back() == r.cand) {
+        if (keep_weight) out->weight.back() += r.weight;
+        continue;
       }
-      out->entry.push_back(e.cand);
-      if (keep_weight) out->weight.push_back(e.weight);
+      out->entry.push_back(r.cand);
+      if (keep_weight) out->weight.push_back(r.weight);
     }
     out->begin.push_back(static_cast<uint32_t>(out->entry.size()));
-    in->clear();
-    in->shrink_to_fit();
+    out->entry.shrink_to_fit();
+    out->weight.shrink_to_fit();
+    rows.clear();
   };
-  flatten(&occ, &occupancy_, /*keep_weight=*/true);
-  flatten(&spn, &span_, /*keep_weight=*/false);
-  flatten(&cel, &cells_, /*keep_weight=*/false);
+
+  // Occupancy: one row per run of records in one bucket, so in-order
+  // records need no per-candidate sort. Also the exact span.
+  for (size_t i = 0; i < n; ++i) {
+    const auto& t = db[i];
+    if (t.empty()) continue;
+    const uint32_t cand = static_cast<uint32_t>(i);
+    spans_[i] = TimeSpan(t);
+    int64_t run_bucket = FloorDiv(t[0].t, bucket);
+    uint32_t run = 0;
+    for (size_t j = 0; j < t.size(); ++j) {
+      const int64_t b = FloorDiv(t[j].t, bucket);
+      if (b != run_bucket) {
+        rows.push_back({run_bucket, cand, run});
+        run_bucket = b;
+        run = 0;
+      }
+      ++run;
+    }
+    rows.push_back({run_bucket, cand, run});
+  }
+  flatten(&occupancy_, /*keep_weight=*/true);
+
+  // Span coverage: every bucket in [bucket(lo), bucket(hi)], unless
+  // the span is so long it would bloat the lists. The width is
+  // unsigned: an int64 span can cover more than INT64_MAX buckets.
+  if (options_.use_temporal) {
+    for (size_t i = 0; i < n; ++i) {
+      const auto [lo, hi] = spans_[i];
+      if (lo > hi) continue;
+      const uint32_t cand = static_cast<uint32_t>(i);
+      const int64_t b0 = FloorDiv(lo, bucket);
+      const uint64_t width = static_cast<uint64_t>(FloorDiv(hi, bucket)) -
+                             static_cast<uint64_t>(b0);
+      if (width >= kMaxSpanBuckets) {
+        span_overflow_.push_back(cand);
+        continue;
+      }
+      for (uint64_t k = 0; k <= width; ++k) {
+        rows.push_back({b0 + static_cast<int64_t>(k), cand, 1});
+      }
+    }
+  }
+  flatten(&span_, /*keep_weight=*/false);
+
+  // Spatial cells: one row per run of records in one cell.
+  if (options_.use_spatial) {
+    const double cell = options_.cell_size_meters;
+    for (size_t i = 0; i < n; ++i) {
+      const auto& t = db[i];
+      const uint32_t cand = static_cast<uint32_t>(i);
+      for (size_t j = 0; j < t.size(); ++j) {
+        const auto r = t[j];
+        const int64_t c = CellKey(CellCoord(r.location.x, cell),
+                                  CellCoord(r.location.y, cell));
+        if (j == 0 || c != rows.back().key) rows.push_back({c, cand, 1});
+      }
+    }
+  }
+  flatten(&cells_, /*keep_weight=*/false);
 
   build_micros_ = static_cast<int64_t>(sw.ElapsedSeconds() * 1e6);
   Metrics().builds->Add(1);

@@ -30,6 +30,7 @@ struct StoreMetrics {
   obs::Counter* ingest_records;
   obs::Counter* replay_batches;
   obs::Counter* replay_records;
+  obs::Counter* replay_dropped_batches;
   obs::Counter* flushes;
   obs::Counter* compactions;
   obs::Counter* compaction_input_segments;
@@ -51,6 +52,8 @@ struct StoreMetrics {
     ingest_records = &reg.GetCounter("ftl_store_ingest_records_total");
     replay_batches = &reg.GetCounter("ftl_store_replay_batches_total");
     replay_records = &reg.GetCounter("ftl_store_replay_records_total");
+    replay_dropped_batches =
+        &reg.GetCounter("ftl_store_replay_dropped_batches_total");
     flushes = &reg.GetCounter("ftl_store_flush_total");
     compactions = &reg.GetCounter("ftl_store_compactions_total");
     compaction_input_segments =
@@ -96,6 +99,28 @@ traj::FlatDatabase FlatOf(const traj::Trajectory& t) {
   traj::TrajectoryDatabase db;
   (void)db.Add(t);
   return traj::FlatDatabase::FromDatabase(db);
+}
+
+/// The batches Append admits: non-empty, every row labelled (at most
+/// 65536 bytes) with finite coordinates. Non-finite ones are refused
+/// because every flush re-reads its segment through ReadFtb, which
+/// rejects them. WAL replay applies the same check (DESIGN.md §12).
+Status ValidateBatch(const IngestBatch& batch) {
+  if (batch.rows.empty()) {
+    return Status::InvalidArgument("empty ingest batch");
+  }
+  for (const IngestRow& row : batch.rows) {
+    if (row.label.empty()) {
+      return Status::InvalidArgument("ingest row with empty label");
+    }
+    if (row.label.size() > 65536) {
+      return Status::InvalidArgument("ingest label longer than 65536 bytes");
+    }
+    if (!std::isfinite(row.x) || !std::isfinite(row.y)) {
+      return Status::InvalidArgument("ingest row with non-finite coordinate");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -543,6 +568,7 @@ Status Store::RecoverLocked(RecoveryInfo* info) {
   const std::string wal_path = dir_ + "/" + manifest_.wal;
   uint64_t replayed_batches = 0;
   uint64_t replayed_records = 0;
+  uint64_t dropped_batches = 0;
   Status rst = ReplayWal(
       wal_path,
       [&](uint64_t seqno, std::string_view payload) -> Status {
@@ -550,6 +576,13 @@ Status Store::RecoverLocked(RecoveryInfo* info) {
         if (!batch.ok()) {
           return Status::IOError("WAL frame " + std::to_string(seqno) +
                                  " undecodable: " + batch.status().message());
+        }
+        // A batch Append would refuse (written by an older or foreign
+        // writer) is dropped whole, as Append rejects it whole; applied,
+        // it would make every later flush fail.
+        if (!ValidateBatch(batch.value()).ok()) {
+          ++dropped_batches;
+          return Status::OK();
         }
         replayed_records += batch.value().rows.size();
         ++replayed_batches;
@@ -588,6 +621,7 @@ Status Store::RecoverLocked(RecoveryInfo* info) {
   StoreMetrics& m = Metrics();
   m.replay_batches->Add(static_cast<int64_t>(replayed_batches));
   m.replay_records->Add(static_cast<int64_t>(replayed_records));
+  m.replay_dropped_batches->Add(static_cast<int64_t>(dropped_batches));
   m.wal_torn_bytes->Add(static_cast<int64_t>(stats.torn_bytes_dropped));
   m.segments_live->Set(static_cast<int64_t>(segments_.size()));
   m.memtable_records->Set(static_cast<int64_t>(memtable_.num_records()));
@@ -598,6 +632,7 @@ Status Store::RecoverLocked(RecoveryInfo* info) {
     info->segments = segments_.size();
     info->replayed_batches = replayed_batches;
     info->replayed_records = replayed_records;
+    info->dropped_batches = dropped_batches;
     info->torn_bytes_dropped = stats.torn_bytes_dropped;
     info->orphans_removed = orphans;
     info->seconds = sw.ElapsedSeconds();
@@ -606,22 +641,7 @@ Status Store::RecoverLocked(RecoveryInfo* info) {
 }
 
 Status Store::Append(const IngestBatch& batch) {
-  if (batch.rows.empty()) {
-    return Status::InvalidArgument("empty ingest batch");
-  }
-  for (const IngestRow& row : batch.rows) {
-    if (row.label.empty()) {
-      return Status::InvalidArgument("ingest row with empty label");
-    }
-    if (row.label.size() > 65536) {
-      return Status::InvalidArgument("ingest label longer than 65536 bytes");
-    }
-    // Rejected before the WAL: every flush re-reads its segment through
-    // ReadFtb, which refuses non-finite coordinates.
-    if (!std::isfinite(row.x) || !std::isfinite(row.y)) {
-      return Status::InvalidArgument("ingest row with non-finite coordinate");
-    }
-  }
+  FTL_RETURN_NOT_OK(ValidateBatch(batch));
   std::lock_guard<std::mutex> lock(mu_);
   if (!recovered_) return Status::FailedPrecondition("store not recovered");
   if (broken_) {

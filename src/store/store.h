@@ -15,7 +15,9 @@
 ///
 /// Recovery: Recover() loads the manifest, mmaps the live segments,
 /// truncates any torn WAL tail, replays the surviving frames into the
-/// memtable, and deletes orphan files from interrupted flushes. The
+/// memtable (dropping whole any batch Append would refuse, which only
+/// an older or foreign writer can have framed), and deletes orphan
+/// files from interrupted flushes. The
 /// recovered state is always a *prefix* of the appended batches — a
 /// batch is either fully restored or fully dropped, never partially —
 /// and with WalSync::kAlways every acknowledged Append survives.
@@ -97,6 +99,7 @@ struct RecoveryInfo {
   uint64_t segments = 0;           ///< live immutable segments loaded
   uint64_t replayed_batches = 0;   ///< WAL batches replayed
   uint64_t replayed_records = 0;   ///< rows restored into the memtable
+  uint64_t dropped_batches = 0;    ///< WAL batches Append would refuse
   uint64_t torn_bytes_dropped = 0; ///< torn-tail bytes truncated from the WAL
   uint64_t orphans_removed = 0;    ///< unreferenced files deleted
   double seconds = 0.0;            ///< wall time of the whole recovery

@@ -10,7 +10,6 @@
 /// a **mutual segment** when they straddle P and Q. Mutual segments carry
 /// the discriminating signal FTL is built on.
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -159,18 +158,6 @@ std::vector<Segment> MutualSegments(const Trajectory& p, const Trajectory& q);
 
 /// Number of mutual segments in W_PQ.
 size_t CountMutualSegments(const Trajectory& p, const Trajectory& q);
-
-/// Overlap of the two trajectories' time spans, seconds (0 when
-/// disjoint). Candidates with no overlap produce at most one
-/// informative mutual segment; engines may use this as a pre-filter
-/// signal. Template over trajectory-like types (see SegmentCursor).
-template <typename TP, typename TQ>
-int64_t TimeSpanOverlapSeconds(const TP& p, const TQ& q) {
-  if (p.empty() || q.empty()) return 0;
-  int64_t lo = std::max<int64_t>(p.front().t, q.front().t);
-  int64_t hi = std::min<int64_t>(p.back().t, q.back().t);
-  return hi > lo ? hi - lo : 0;
-}
 
 }  // namespace ftl::traj
 

@@ -193,16 +193,6 @@ TEST(AlignmentTest, SegmentCursorEmptyAndSingleton) {
   EXPECT_FALSE(pair.Next(&s));
 }
 
-TEST(AlignmentTest, TimeSpanOverlap) {
-  Trajectory p = T("p", {R(0, 0, 10), R(0, 0, 50)});
-  Trajectory q = T("q", {R(0, 0, 30), R(0, 0, 90)});
-  EXPECT_EQ(TimeSpanOverlapSeconds(p, q), 20);
-  Trajectory r = T("r", {R(0, 0, 100), R(0, 0, 200)});
-  EXPECT_EQ(TimeSpanOverlapSeconds(p, r), 0);
-  Trajectory e = T("e", {});
-  EXPECT_EQ(TimeSpanOverlapSeconds(p, e), 0);
-}
-
 // Parameterized property sweep: mutual + self segments == total - 1 for
 // random sizes.
 class AlignmentPropertyTest : public ::testing::TestWithParam<int> {};

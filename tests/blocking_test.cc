@@ -4,6 +4,11 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <random>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/blocking.h"
 #include "core/engine.h"
@@ -262,6 +267,238 @@ TEST(BlockingTest, UnsortedInputSpansComputedAsMinMax) {
   // And outside the true span it is still pruned.
   traj::FlatDatabase qout = FlatFromRows({{"q2", {R(0, 0, 200000)}}});
   EXPECT_TRUE(index.Candidates(qout[0]).empty());
+}
+
+// --------------------------------------------------------------------------
+// Reference model: every index answer recomputed straight from the
+// records, with exact 128-bit arithmetic instead of saturation.
+
+using Rows = std::vector<std::pair<std::string, std::vector<Record>>>;
+
+int64_t RefFloorDiv(int64_t a, int64_t b) {
+  int64_t q = a / b;
+  return (a % b != 0 && a < 0) ? q - 1 : q;
+}
+
+int64_t RefCell(double v, double cell) {
+  const double c = std::floor(v / cell);
+  if (std::isnan(c) || c < -1073741824.0) return -1073741824;
+  if (c > 1073741824.0) return 1073741824;
+  return static_cast<int64_t>(c);
+}
+
+/// True for a non-empty candidate whose [min t, max t] overlaps
+/// [q_lo, q_hi].
+bool RefSpanOverlaps(const std::vector<Record>& c, __int128 q_lo,
+                     __int128 q_hi) {
+  if (c.empty()) return false;
+  int64_t lo = c[0].t, hi = c[0].t;
+  for (const Record& r : c) {
+    lo = std::min(lo, r.t);
+    hi = std::max(hi, r.t);
+  }
+  return hi >= q_lo && lo <= q_hi;
+}
+
+std::vector<size_t> RefCandidates(const Rows& db, const std::vector<Record>& q,
+                                  const BlockingOptions& o) {
+  std::vector<size_t> out;
+  if (q.empty()) return out;
+  const bool spatial = o.use_spatial && o.min_shared_cells > 0;
+  if (!spatial && !o.use_temporal) {
+    for (size_t i = 0; i < db.size(); ++i) out.push_back(i);
+    return out;
+  }
+  int64_t q_min = q[0].t, q_max = q[0].t;
+  for (const Record& r : q) {
+    q_min = std::min(q_min, r.t);
+    q_max = std::max(q_max, r.t);
+  }
+  const __int128 q_lo = static_cast<__int128>(q_min) - o.temporal_slack_seconds;
+  const __int128 q_hi = static_cast<__int128>(q_max) + o.temporal_slack_seconds;
+  std::set<std::pair<int64_t, int64_t>> probe;
+  for (const Record& r : q) {
+    const int64_t cx = RefCell(r.location.x, o.cell_size_meters);
+    const int64_t cy = RefCell(r.location.y, o.cell_size_meters);
+    for (int dx = -o.neighborhood; dx <= o.neighborhood; ++dx) {
+      for (int dy = -o.neighborhood; dy <= o.neighborhood; ++dy) {
+        probe.insert({cx + dx, cy + dy});
+      }
+    }
+  }
+  for (size_t i = 0; i < db.size(); ++i) {
+    const std::vector<Record>& c = db[i].second;
+    if (spatial) {
+      std::set<std::pair<int64_t, int64_t>> visited;
+      for (const Record& r : c) {
+        visited.insert({RefCell(r.location.x, o.cell_size_meters),
+                        RefCell(r.location.y, o.cell_size_meters)});
+      }
+      size_t shared = 0;
+      for (const auto& cell : probe) shared += visited.count(cell);
+      if (shared < o.min_shared_cells) continue;
+    }
+    if (o.use_temporal && !RefSpanOverlaps(c, q_lo, q_hi)) continue;
+    out.push_back(i);
+  }
+  return out;
+}
+
+std::vector<size_t> RefGuaranteed(const Rows& db, const std::vector<Record>& q,
+                                  const BlockingOptions& o,
+                                  const BlockingGuarantee& g) {
+  std::vector<size_t> out;
+  if (g.min_segments == 0) {
+    for (size_t i = 0; i < db.size(); ++i) out.push_back(i);
+    return out;
+  }
+  const int64_t bucket = o.time_bucket_seconds;
+  const int64_t horizon = std::max<int64_t>(g.horizon_seconds, 0);
+  const __int128 rings = (static_cast<__int128>(horizon) + bucket - 1) / bucket;
+  std::set<int64_t> q_buckets;
+  for (const Record& r : q) q_buckets.insert(RefFloorDiv(r.t, bucket));
+  for (size_t i = 0; i < db.size(); ++i) {
+    uint64_t m = 0;
+    for (const Record& r : db[i].second) {
+      const __int128 b = RefFloorDiv(r.t, bucket);
+      for (int64_t qb : q_buckets) {
+        const __int128 d = b - qb;
+        if (d <= rings && -d <= rings) {
+          ++m;
+          break;
+        }
+      }
+    }
+    if (2 * m >= g.min_segments) out.push_back(i);
+  }
+  return out;
+}
+
+/// Random trajectory rows: per-candidate time bases up to 2^40 s apart
+/// (either sign), spreads that reach past 1,024 buckets, duplicate and
+/// out-of-order timestamps, empty rows and ±1e308 coordinates.
+std::vector<Record> RandomRecords(std::mt19937_64* rng) {
+  auto pick = [&](auto... v) {
+    const int64_t opts[] = {static_cast<int64_t>(v)...};
+    return opts[(*rng)() % sizeof...(v)];
+  };
+  const size_t n = static_cast<size_t>(pick(0, 1, 2, 5, 12, 30));
+  const int64_t base = pick(0, -5000, 86400, int64_t{1} << 40,
+                            -(int64_t{1} << 40), -1);
+  const int64_t spread = pick(1, 50, 7000, 20000, 3 * 86400);
+  std::vector<Record> recs;
+  for (size_t j = 0; j < n; ++j) {
+    const bool dup = j > 0 && (*rng)() % 5 == 0;
+    const int64_t t = dup ? recs.back().t
+                          : base + static_cast<int64_t>((*rng)() % spread);
+    double x = static_cast<double>((*rng)() % 20000) - 10000.0;
+    double y = static_cast<double>((*rng)() % 20000) - 10000.0;
+    if ((*rng)() % 25 == 0) x = (*rng)() % 2 ? 1e308 : -1e308;
+    if ((*rng)() % 25 == 0) y = (*rng)() % 2 ? 1e308 : -1e308;
+    recs.push_back(R(x, y, t));
+  }
+  if ((*rng)() % 3 != 0) {  // two in three arrive in timestamp order
+    std::sort(recs.begin(), recs.end(),
+              [](const Record& a, const Record& b) { return a.t < b.t; });
+  }
+  if ((*rng)() % 8 == 0 && !recs.empty()) {  // a 2^41 s wide candidate
+    recs.push_back(R(0, 0, recs[0].t + (int64_t{1} << 41)));
+  }
+  return recs;
+}
+
+TEST(BlockingTest, MatchesBruteForceReference) {
+  std::mt19937_64 rng(20260417);
+  BlockingScratch scratch;
+  std::vector<size_t> got;
+  for (int trial = 0; trial < 400; ++trial) {
+    Rows rows;
+    const size_t n = rng() % 24;
+    for (size_t i = 0; i < n; ++i) {
+      rows.push_back({std::to_string(i), RandomRecords(&rng)});
+    }
+    TrajectoryDatabase aos;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      ASSERT_TRUE(aos.Add(T(rows[i].first, i + 1, rows[i].second)).ok());
+    }
+    const traj::FlatDatabase soa = FlatFromRows(rows);
+
+    BlockingOptions o;
+    const int64_t buckets[] = {1, 7, 3600};
+    o.time_bucket_seconds = buckets[rng() % 3];
+    o.neighborhood = static_cast<int>(rng() % 3);
+    const size_t min_cells[] = {0, 1, 3};
+    o.min_shared_cells = min_cells[rng() % 3];
+    o.cell_size_meters = rng() % 2 ? 1000.0 : 3000.0;
+    const int64_t slacks[] = {0, 100, 6 * 3600};
+    o.temporal_slack_seconds = slacks[rng() % 3];
+    o.use_temporal = rng() % 4 != 0;
+    o.use_spatial = rng() % 4 != 0;
+    const BlockingIndex aos_index(aos, o);
+    const BlockingIndex soa_index(soa, o);
+    ASSERT_EQ(aos_index.size(), rows.size());
+    ASSERT_EQ(soa_index.size(), rows.size());
+
+    for (int qi = 0; qi < 6; ++qi) {
+      // Queries are random rows, or a candidate's own records.
+      std::vector<Record> q = rows.empty() || rng() % 2
+                                  ? RandomRecords(&rng)
+                                  : rows[rng() % rows.size()].second;
+      const Trajectory q_aos = T("q", 0, q);
+      const traj::FlatDatabase q_soa = FlatFromRows({{"q", q}});
+      SCOPED_TRACE("trial " + std::to_string(trial) + " query " +
+                   std::to_string(qi) + " bucket " +
+                   std::to_string(o.time_bucket_seconds));
+
+      const std::vector<size_t> want = RefCandidates(rows, q, o);
+      for (const BlockingIndex* index : {&aos_index, &soa_index}) {
+        index->Candidates(q_aos, &scratch, &got);
+        EXPECT_EQ(got, want);
+        index->Candidates(q_soa[0], &scratch, &got);
+        EXPECT_EQ(got, want);
+      }
+
+      const int64_t horizons[] = {0, 1, 3599, 3600, 7200, int64_t{1} << 40};
+      const uint64_t min_segs[] = {0, 1, 2, 5};
+      const BlockingGuarantee g{horizons[rng() % 6], min_segs[rng() % 4]};
+      const std::vector<size_t> want_g = RefGuaranteed(rows, q, o, g);
+      for (const BlockingIndex* index : {&aos_index, &soa_index}) {
+        index->GuaranteedCandidates(q_aos, g, &scratch, &got);
+        EXPECT_EQ(got, want_g) << "horizon " << g.horizon_seconds
+                               << " min_segments " << g.min_segments;
+        index->GuaranteedCandidates(q_soa[0], g, &scratch, &got);
+        EXPECT_EQ(got, want_g) << "horizon " << g.horizon_seconds
+                               << " min_segments " << g.min_segments;
+      }
+    }
+  }
+}
+
+TEST(BlockingTest, ExtremeTimestampSpanGoesToOverflowList) {
+  // A span of 2^63 one-second buckets: its width overflows int64, so it
+  // must be measured unsigned and land on the overflow list instead of
+  // one posting per bucket.
+  const int64_t far = int64_t{1} << 62;
+  TrajectoryDatabase db;
+  (void)db.Add(T("wide", 1, {R(0, 0, -far), R(0, 0, far)}));
+  (void)db.Add(T("late", 2, {R(0, 0, far - 10), R(0, 0, far)}));
+  BlockingOptions o = NoSlack();
+  o.use_spatial = false;
+  o.time_bucket_seconds = 1;
+  const BlockingIndex index(db, o);
+  EXPECT_EQ(index.Candidates(T("q", 9, {R(0, 0, 0)})),
+            (std::vector<size_t>{0}));
+  EXPECT_EQ(index.Candidates(T("q", 9, {R(0, 0, far - 5)})),
+            (std::vector<size_t>{0, 1}));
+  EXPECT_TRUE(index.Candidates(T("q", 9, {R(0, 0, far + 1)})).empty());
+  BlockingScratch scratch;
+  std::vector<size_t> out;
+  index.GuaranteedCandidates(T("q", 9, {R(0, 0, far)}), {0, 2}, &scratch,
+                             &out);
+  EXPECT_EQ(out, (std::vector<size_t>{0, 1}));
+  index.GuaranteedCandidates(T("q", 9, {R(0, 0, -far)}), {0, 2}, &scratch,
+                             &out);
+  EXPECT_EQ(out, (std::vector<size_t>{0}));
 }
 
 TEST(BlockingTest, ExtremeCoordinatesDoNotOverflow) {

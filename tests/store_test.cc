@@ -408,6 +408,47 @@ TEST(StoreTest, AppendRejectsNonFiniteCoordinates) {
   EXPECT_EQ(reopened.value()->total_records(), 3u);
 }
 
+TEST(StoreTest, ReplayDropsInvalidBatch) {
+  // A WAL frame holding a row Append refuses (a NaN coordinate, as a
+  // writer that did not check coordinates could frame) must not reach
+  // the memtable: it would make every later flush fail its ReadFtb
+  // re-read. Replay drops that batch whole and counts it.
+  std::string dir = FreshDir("store_replay_invalid");
+  store::IngestBatch bad = MakeBatch("veh", 0, 3);
+  bad.rows[1].x = std::numeric_limits<double>::quiet_NaN();
+  {
+    auto w = store::WalWriter::Open(dir + "/" + store::WalFileName(0), {}, 1);
+    ASSERT_TRUE(w.ok()) << w.status().ToString();
+    ASSERT_TRUE(w.value().Append(store::EncodeBatch(MakeBatch("ok", 0, 2)))
+                    .ok());
+    ASSERT_TRUE(w.value().Append(store::EncodeBatch(bad)).ok());
+  }
+  const int64_t dropped_before =
+      obs::MetricsRegistry::Global()
+          .GetCounter("ftl_store_replay_dropped_batches_total")
+          .Value();
+  store::RecoveryInfo info;
+  auto s = store::Store::Open(dir, SmallStoreOptions(), &info);
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  EXPECT_EQ(info.replayed_batches, 1u);
+  EXPECT_EQ(info.replayed_records, 2u);
+  EXPECT_EQ(info.dropped_batches, 1u);
+  EXPECT_EQ(obs::MetricsRegistry::Global()
+                    .GetCounter("ftl_store_replay_dropped_batches_total")
+                    .Value() -
+                dropped_before,
+            1);
+  EXPECT_EQ(s.value()->total_records(), 2u);
+  ASSERT_TRUE(s.value()->Flush().ok());
+  s.value().reset();
+
+  auto reopened = store::Store::Open(dir, SmallStoreOptions(), &info);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(info.segments, 1u);
+  EXPECT_EQ(info.dropped_batches, 0u);
+  EXPECT_EQ(reopened.value()->total_records(), 2u);
+}
+
 TEST(StoreTest, FlushReopenEquivalence) {
   std::string dir = FreshDir("store_reopen");
   std::vector<store::IngestBatch> batches;

@@ -366,6 +366,9 @@ void PrintRecoveryInfo(const store::RecoveryInfo& info, std::ostream& out) {
   out << "recovered store: generation " << info.generation << ", "
       << info.segments << " segment(s), replayed " << info.replayed_batches
       << " batch(es) / " << info.replayed_records << " record(s)";
+  if (info.dropped_batches > 0) {
+    out << ", dropped " << info.dropped_batches << " invalid batch(es)";
+  }
   if (info.torn_bytes_dropped > 0) {
     out << ", dropped " << info.torn_bytes_dropped << " torn WAL byte(s)";
   }
