@@ -13,13 +13,15 @@
 //     querying one merged database. The process exits non-zero when it
 //     does not, so CI fails loudly rather than recording a lie.
 //
-// Emits BENCH_ingest.json (path overridable via argv[1]).
+// Emits BENCH_ingest.json (path overridable via argv[1]), headed by the
+// commit/host/nproc/isa header bench_e2e artifacts carry.
 
 #include <cstdio>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "bench/e2e/artifact.h"
 #include "bench_common.h"
 #include "ftl/ftl.h"
 #include "obs/metrics.h"
@@ -66,6 +68,10 @@ int main(int argc, char** argv) {
   const std::string config = "SC";
   const size_t num_objects = bench::PaperScale() ? 1000 : 200;
   const size_t num_queries = bench::PaperScale() ? 64 : 24;
+  // window_s is filled in with the run's length.
+  Stopwatch run_sw;
+  bench_e2e::ArtifactHeader header =
+      bench_e2e::MakeArtifactHeader(config, bench::BenchSeed(), 0.0);
 
   sim::DatasetPair pair = sim::BuildDataset(sim::FindConfig(config),
                                             num_objects, bench::BenchSeed());
@@ -198,6 +204,9 @@ int main(int argc, char** argv) {
   }
   std::filesystem::remove_all(id_dir);
 
+  header.window_s = run_sw.ElapsedSeconds();
+  io::JsonWriter hw;
+  bench_e2e::WriteArtifactHeader(header, &hw);
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
@@ -205,12 +214,14 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f,
                "{\n"
+               "  \"header\": %s,\n"
                "  \"config\": \"%s\",\n"
                "  \"num_objects\": %zu,\n"
                "  \"num_batches\": %zu,\n"
                "  \"num_records\": %zu,\n"
                "  \"ingest\": {\n",
-               config.c_str(), num_objects, batches.size(), total_records);
+               hw.str().c_str(), config.c_str(), num_objects,
+               batches.size(), total_records);
   for (size_t i = 0; i < ingest.size(); ++i) {
     const IngestResult& r = ingest[i];
     std::fprintf(f,

@@ -1,9 +1,12 @@
 #include "core/blocking.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <new>
 #include <numeric>
 #include <utility>
 
@@ -138,6 +141,37 @@ struct PostingRow {
   uint32_t weight;
 };
 
+/// Allocator for Build's transient buffers: each allocation is its own
+/// anonymous mapping, populated when mapped (one call, not a fault per
+/// page; Build allocates each buffer at its final size) and unmapped
+/// when freed. From malloc, a build on a recovery worker thread would
+/// leave these buffers resident in that thread's arena after the build
+/// returns (DESIGN.md §12).
+template <typename T>
+struct PageAllocator {
+  using value_type = T;
+  PageAllocator() = default;
+  template <typename U>
+  PageAllocator(const PageAllocator<U>&) noexcept {}
+  T* allocate(size_t n) {
+    if (n > std::numeric_limits<size_t>::max() / sizeof(T)) {
+      throw std::bad_array_new_length();
+    }
+    void* p = ::mmap(nullptr, n * sizeof(T), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    return static_cast<T*>(p);
+  }
+  void deallocate(T* p, size_t n) noexcept { ::munmap(p, n * sizeof(T)); }
+  template <typename U>
+  bool operator==(const PageAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
+template <typename T>
+using PageVector = std::vector<T, PageAllocator<T>>;
+
 /// Widest radix digit; the digit table holds at most 2^16 counts.
 constexpr int kMaxDigitBits = 16;
 
@@ -147,7 +181,7 @@ constexpr int kMaxDigitBits = 16;
 /// for a few thousand buckets, a few for packed cell keys). Memory is
 /// `spare` (resized to the rows) plus the digit table, never a slot per
 /// key. Stability keeps each key's rows in candidate order.
-void SortByKey(std::vector<PostingRow>* rows, std::vector<PostingRow>* spare) {
+void SortByKey(PageVector<PostingRow>* rows, PageVector<PostingRow>* spare) {
   const size_t n = rows->size();
   if (n < 2) return;
   const auto [lo, hi] = std::minmax_element(
@@ -160,7 +194,7 @@ void SortByKey(std::vector<PostingRow>* rows, std::vector<PostingRow>* spare) {
   const int passes = (bits + kMaxDigitBits - 1) / kMaxDigitBits;
   const int digit_bits = (bits + passes - 1) / passes;
   const uint64_t mask = (uint64_t{1} << digit_bits) - 1;
-  std::vector<size_t> next(size_t{1} << digit_bits);
+  PageVector<size_t> next(size_t{1} << digit_bits);
   spare->resize(n);
   for (int shift = 0; shift < bits; shift += digit_bits) {
     auto digit = [&](const PostingRow& r) {
@@ -250,20 +284,42 @@ void BlockingIndex::Build(const DbT& db) {
   // Each list is emitted in candidate order into `rows`, then
   // radix-sorted on its key and flattened; `rows` and `spare` are
   // reused from list to list. Occupancy and cells emit at most one row
-  // per record.
+  // per record and span one per covered bucket, so the exact spans,
+  // taken first, size both buffers once for the longest list.
   const int64_t bucket = options_.time_bucket_seconds;
-  std::vector<PostingRow> rows, spare;
-  size_t records = 0;
-  for (size_t i = 0; i < n; ++i) records += db[i].size();
-  rows.reserve(records);
+  auto span_width = [bucket](std::pair<int64_t, int64_t> span) {
+    return static_cast<uint64_t>(FloorDiv(span.second, bucket)) -
+           static_cast<uint64_t>(FloorDiv(span.first, bucket));
+  };
+  size_t records = 0, span_rows = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (db[i].empty()) continue;
+    records += db[i].size();
+    spans_[i] = TimeSpan(db[i]);
+    const uint64_t width = span_width(spans_[i]);
+    if (options_.use_temporal && width < kMaxSpanBuckets) {
+      span_rows += width + 1;
+    }
+  }
+  PageVector<PostingRow> rows, spare;
+  rows.reserve(std::max(records, span_rows));
+  spare.reserve(rows.capacity());
   // Rows that repeat a (key, candidate) pair are adjacent after the
   // stable sort: runs of one candidate's bucket or cell that
   // out-of-order records or revisits split. They merge into one
-  // posting, weights summed.
+  // posting, weights summed. A counting pass sizes every array once.
   auto flatten = [&rows, &spare](PostingLists* out, bool keep_weight) {
     SortByKey(&rows, &spare);
-    out->entry.reserve(rows.size());
-    if (keep_weight) out->weight.reserve(rows.size());
+    size_t keys = 0, postings = 0;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const bool new_key = i == 0 || rows[i].key != rows[i - 1].key;
+      keys += new_key;
+      postings += new_key || rows[i].cand != rows[i - 1].cand;
+    }
+    out->keys.reserve(keys);
+    out->begin.reserve(keys + 1);
+    out->entry.reserve(postings);
+    if (keep_weight) out->weight.reserve(postings);
     for (const PostingRow& r : rows) {
       if (out->keys.empty() || out->keys.back() != r.key) {
         out->keys.push_back(r.key);
@@ -276,18 +332,15 @@ void BlockingIndex::Build(const DbT& db) {
       if (keep_weight) out->weight.push_back(r.weight);
     }
     out->begin.push_back(static_cast<uint32_t>(out->entry.size()));
-    out->entry.shrink_to_fit();
-    out->weight.shrink_to_fit();
     rows.clear();
   };
 
   // Occupancy: one row per run of records in one bucket, so in-order
-  // records need no per-candidate sort. Also the exact span.
+  // records need no per-candidate sort.
   for (size_t i = 0; i < n; ++i) {
     const auto& t = db[i];
     if (t.empty()) continue;
     const uint32_t cand = static_cast<uint32_t>(i);
-    spans_[i] = TimeSpan(t);
     int64_t run_bucket = FloorDiv(t[0].t, bucket);
     uint32_t run = 0;
     for (size_t j = 0; j < t.size(); ++j) {
@@ -312,8 +365,7 @@ void BlockingIndex::Build(const DbT& db) {
       if (lo > hi) continue;
       const uint32_t cand = static_cast<uint32_t>(i);
       const int64_t b0 = FloorDiv(lo, bucket);
-      const uint64_t width = static_cast<uint64_t>(FloorDiv(hi, bucket)) -
-                             static_cast<uint64_t>(b0);
+      const uint64_t width = span_width(spans_[i]);
       if (width >= kMaxSpanBuckets) {
         span_overflow_.push_back(cand);
         continue;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <deque>
 #include <filesystem>
+#include <thread>
 #include <utility>
 
 #include "io/ftb.h"
@@ -233,7 +234,12 @@ traj::Trajectory StoreSnapshot::Materialize(size_t g) const {
   const CanonEntry& e = canon_[g];
   std::string lbl(label(g));
   traj::OwnerId owner = traj::kUnknownOwner;
+  size_t total = 0;
+  for (const SourceRef& ref : e.contribs) {
+    total += source(ref.source)[ref.local].size();
+  }
   std::vector<traj::Record> records;
+  records.reserve(total);
   for (const SourceRef& ref : e.contribs) {
     traj::FlatTrajectoryView v = source(ref.source)[ref.local];
     for (size_t i = 0; i < v.size(); ++i) records.push_back(v[i]);
@@ -544,20 +550,36 @@ Status Store::RecoverLocked(RecoveryInfo* info) {
     return mr.status();
   }
 
-  segments_.clear();
+  // Segments load concurrently: each worker reads, verifies and indexes
+  // whole manifest entries into that entry's slot. Installing the slots
+  // in manifest order and reporting the first failure in manifest order
+  // keeps both the store and the error independent of thread timing
+  // (DESIGN.md §12).
+  const size_t nseg = manifest_.segments.size();
+  std::vector<std::shared_ptr<const traj::FlatDatabase>> loaded(nseg);
+  std::vector<std::shared_ptr<const core::BlockingIndex>> indices(nseg);
+  std::vector<Status> failed(nseg);
+  ParallelFor(nseg, std::max(1u, std::thread::hardware_concurrency()),
+              [&](size_t i) {
+                const std::string& seg = manifest_.segments[i];
+                auto r = io::ReadFtb(dir_ + "/" + seg);
+                if (!r.ok()) {
+                  failed[i] = Status::IOError("segment " + seg + ": " +
+                                              r.status().ToString());
+                  return;
+                }
+                loaded[i] = std::make_shared<const traj::FlatDatabase>(
+                    std::move(r).value());
+                if (options_.blocking_mode != core::BlockingMode::kOff) {
+                  indices[i] = std::make_shared<const core::BlockingIndex>(
+                      *loaded[i], options_.blocking);
+                }
+              });
+  for (const Status& st : failed) FTL_RETURN_NOT_OK(st);
+  segments_ = std::move(loaded);
   segment_indices_.clear();
-  for (const std::string& seg : manifest_.segments) {
-    auto r = io::ReadFtb(dir_ + "/" + seg);
-    if (!r.ok()) {
-      return Status::IOError("segment " + seg + ": " +
-                             r.status().ToString());
-    }
-    segments_.push_back(
-        std::make_shared<traj::FlatDatabase>(std::move(r).value()));
-    if (options_.blocking_mode != core::BlockingMode::kOff) {
-      segment_indices_.push_back(std::make_shared<const core::BlockingIndex>(
-          *segments_.back(), options_.blocking));
-    }
+  if (options_.blocking_mode != core::BlockingMode::kOff) {
+    segment_indices_ = std::move(indices);
   }
 
   // WAL replay: repair the torn tail in place, then apply every

@@ -20,8 +20,14 @@ Status Trajectory::Append(const Record& r) {
 }
 
 void Trajectory::SortByTime() {
-  std::stable_sort(records_.begin(), records_.end(),
-                   [](const Record& a, const Record& b) { return a.t < b.t; });
+  // Sorted input (every FTB segment row, so every single-home store
+  // label) skips the stable sort and its temporary buffer; the sort
+  // would leave it unchanged.
+  if (!IsSorted()) {
+    std::stable_sort(
+        records_.begin(), records_.end(),
+        [](const Record& a, const Record& b) { return a.t < b.t; });
+  }
   maybe_unsorted_ = false;
 }
 

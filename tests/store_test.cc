@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -575,6 +576,79 @@ TEST(StoreTest, OrphanCleanupOnRecovery) {
   EXPECT_EQ(ReadAll(dir + "/notes.txt"), "keep me");
 }
 
+/// `bytes` of an FTB file with one byte flipped in the middle of its x
+/// column: section id 6 in the table of 24-byte entries (u32 id, u32
+/// crc, u64 offset, u64 length) that follows the 48-byte header. Only
+/// that section's CRC can catch it.
+std::string FlipColumnByte(std::string bytes) {
+  for (size_t i = 0; i < 8; ++i) {
+    const char* entry = bytes.data() + 48 + i * 24;
+    uint32_t id = 0;
+    uint64_t offset = 0, length = 0;
+    std::memcpy(&id, entry, sizeof(id));
+    std::memcpy(&offset, entry + 8, sizeof(offset));
+    std::memcpy(&length, entry + 16, sizeof(length));
+    if (id != 6) continue;
+    bytes.at(offset + length / 2) ^= 0x5a;
+    return bytes;
+  }
+  ADD_FAILURE() << "no x column in the section table";
+  return bytes;
+}
+
+TEST(StoreTest, RecoveryReportsFirstBadSegmentInManifestOrder) {
+  // Recovery loads segments concurrently, yet which damaged segment it
+  // reports must not depend on thread timing: it is always the first
+  // bad one in manifest order.
+  failpoint::DisarmAll();
+  std::string dir = FreshDir("store_bad_segments");
+  traj::TrajectoryDatabase before;
+  {
+    auto s = store::Store::Open(dir, SmallStoreOptions());
+    ASSERT_TRUE(s.ok());
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE(
+          s.value()->Append(MakeBatch("veh-" + std::to_string(i), i, 6)).ok());
+      ASSERT_TRUE(s.value()->Flush().ok());
+    }
+    before = s.value()->MaterializeAll("before");
+  }
+  auto manifest = store::ReadManifest(dir);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  const std::vector<std::string> names = manifest.value().segments;
+  ASSERT_EQ(names.size(), 8u);
+
+  const std::string third = dir + "/" + names[2];
+  const std::string sixth = dir + "/" + names[5];
+  const std::string third_bytes = ReadAll(third);
+  const std::string sixth_bytes = ReadAll(sixth);
+  WriteAll(third, FlipColumnByte(third_bytes));
+  WriteAll(sixth, FlipColumnByte(sixth_bytes));
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    Status st = store::Store::Create(dir, SmallStoreOptions())->Recover();
+    ASSERT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+    EXPECT_EQ(st.message().rfind("segment " + names[2] + ": ", 0), 0u)
+        << st.ToString();
+    EXPECT_EQ(st.message().find(names[5]), std::string::npos)
+        << st.ToString();
+  }
+
+  // The failpoint fires on every ReadFtb, so the first segment fails.
+  failpoint::Arm("io.read_ftb", {failpoint::Action::kError, 0});
+  Status injected = store::Store::Create(dir, SmallStoreOptions())->Recover();
+  failpoint::DisarmAll();
+  ASSERT_EQ(injected.code(), StatusCode::kIOError) << injected.ToString();
+  EXPECT_EQ(injected.message().rfind("segment " + names[0] + ": ", 0), 0u)
+      << injected.ToString();
+
+  WriteAll(third, third_bytes);
+  WriteAll(sixth, sixth_bytes);
+  auto s = store::Store::Open(dir, SmallStoreOptions());
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  EXPECT_EQ(s.value()->num_segments(), 8u);
+  ExpectSameDatabase(s.value()->MaterializeAll("before"), before);
+}
+
 // --------------------------------------------------------------------------
 // Multi-segment query byte-identity
 
@@ -709,35 +783,72 @@ TEST_F(StoreQueryTest, BlockedSnapshotQueryByteIdenticalToMergedDatabase) {
 }
 
 TEST_F(StoreQueryTest, BlockedIndicesSurviveRecovery) {
-  // Indices are rebuilt at recovery: reopening the blocked store keeps
-  // queries byte-identical and still prunes.
-  store::StoreOptions so = SmallStoreOptions(120);
-  so.blocking_mode = core::BlockingMode::kGuaranteed;
-  std::string dir = FreshDir("store_query_blocked_recover");
-  {
-    auto opened = store::Store::Open(dir, so);
-    ASSERT_TRUE(opened.ok());
-    for (const traj::Trajectory& t : q_) {
-      store::IngestBatch b;
-      for (const traj::Record& r : t.records()) {
-        b.rows.push_back(store::IngestRow{t.label(), t.owner(), r.t,
-                                          r.location.x, r.location.y});
+  // Recovery rebuilds the indices of many segments concurrently; flush
+  // built them one at a time. A reopened store must answer every query
+  // exactly as it did before closing, and in guaranteed mode exactly as
+  // the merged database does.
+  size_t total = 0;
+  for (const traj::Trajectory& t : q_) total += t.size();
+  const core::Matcher matchers[] = {core::Matcher::kNaiveBayes,
+                                    core::Matcher::kAlphaFilter};
+  auto responses = [&](const store::Store& s) {
+    auto snap = s.Snapshot();
+    std::vector<std::string> out;
+    for (core::Matcher matcher : matchers) {
+      for (const traj::Trajectory& query : p_) {
+        auto got = snap->Query(*engine_, query, matcher, nullptr);
+        out.push_back(got.ok()
+                          ? io::QueryResultToJson(query.label(), got.value())
+                          : got.status().ToString());
       }
-      ASSERT_TRUE(opened.value()->Append(b).ok());
     }
-    ASSERT_TRUE(opened.value()->Flush().ok());
-    ASSERT_GE(opened.value()->num_segments(), 1u);
+    return out;
+  };
+  std::vector<std::string> oracle;
+  for (core::Matcher matcher : matchers) {
+    for (const traj::Trajectory& query : p_) {
+      auto want = engine_->Query(query, merged_, matcher);
+      oracle.push_back(want.ok()
+                           ? io::QueryResultToJson(query.label(), want.value())
+                           : want.status().ToString());
+    }
   }
-  auto reopened = store::Store::Open(dir, so);
-  ASSERT_TRUE(reopened.ok());
-  auto snap = reopened.value()->Snapshot();
-  auto want = engine_->Query(p_[0], merged_, core::Matcher::kNaiveBayes);
-  auto got = snap->Query(*engine_, p_[0], core::Matcher::kNaiveBayes,
-                         nullptr);
-  ASSERT_TRUE(want.ok());
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(io::QueryResultToJson(p_[0].label(), got.value()),
-            io::QueryResultToJson(p_[0].label(), want.value()));
+
+  for (core::BlockingMode mode :
+       {core::BlockingMode::kGuaranteed, core::BlockingMode::kAggressive}) {
+    SCOPED_TRACE(core::BlockingModeName(mode));
+    store::StoreOptions so = SmallStoreOptions(total / 10);
+    so.blocking_mode = mode;
+    std::string dir = FreshDir(std::string("store_query_blocked_recover_") +
+                               core::BlockingModeName(mode));
+    std::vector<std::string> before;
+    {
+      auto opened = store::Store::Open(dir, so);
+      ASSERT_TRUE(opened.ok());
+      for (const traj::Trajectory& t : q_) {
+        store::IngestBatch b;
+        for (const traj::Record& r : t.records()) {
+          b.rows.push_back(store::IngestRow{t.label(), t.owner(), r.t,
+                                            r.location.x, r.location.y});
+        }
+        ASSERT_TRUE(opened.value()->Append(b).ok());
+      }
+      ASSERT_TRUE(opened.value()->Flush().ok());
+      ASSERT_GE(opened.value()->num_segments(), 8u);
+      before = responses(*opened.value());
+    }
+    auto reopened = store::Store::Open(dir, so);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    ASSERT_GE(reopened.value()->num_segments(), 8u);
+    const std::vector<std::string> after = responses(*reopened.value());
+    ASSERT_EQ(after.size(), before.size());
+    for (size_t i = 0; i < after.size(); ++i) {
+      EXPECT_EQ(after[i], before[i]) << "response " << i;
+      if (mode == core::BlockingMode::kGuaranteed) {
+        EXPECT_EQ(after[i], oracle[i]) << "response " << i;
+      }
+    }
+  }
 }
 
 TEST_F(StoreQueryTest, RankMatchesMergedDatabaseSubset) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "traj/database.h"
 #include "traj/record.h"
 #include "traj/summary.h"
@@ -74,6 +76,20 @@ TEST(TrajectoryTest, ConstructorSortsByTime) {
   EXPECT_EQ(t[1].t, 20);
   EXPECT_EQ(t[2].t, 30);
   EXPECT_TRUE(t.IsSorted());
+
+  // Equal timestamps keep input order, sorted input or not: the store's
+  // "ingest order breaks ties" rule rests on it. x tells the ties apart.
+  auto xs = [](const Trajectory& tr) {
+    std::vector<double> out;
+    for (const Record& r : tr.records()) out.push_back(r.location.x);
+    return out;
+  };
+  Trajectory sorted("s", 1, {R(0, 0, 10), R(1, 0, 10), R(2, 0, 20),
+                             R(3, 0, 20), R(4, 0, 20)});
+  EXPECT_EQ(xs(sorted), (std::vector<double>{0, 1, 2, 3, 4}));
+  Trajectory unsorted("u", 1, {R(0, 0, 30), R(1, 0, 10), R(2, 0, 30),
+                               R(3, 0, 10), R(4, 0, 20)});
+  EXPECT_EQ(xs(unsorted), (std::vector<double>{1, 3, 4, 0, 2}));
 }
 
 TEST(TrajectoryTest, LabelAndOwner) {
