@@ -241,6 +241,7 @@ int main(int argc, char** argv) {
 
     ModeStats ex, gu, ag;
     core::BlockingScratch scratch;
+    std::vector<size_t> survivors;
     for (size_t qi = 0; qi < nq; ++qi) {
       traj::FlatTrajectoryView qv = p_flat[qi];
       Stopwatch sw;
@@ -256,9 +257,9 @@ int main(int argc, char** argv) {
       ex.recall_hits += re.value().candidates.size();
 
       sw = Stopwatch();
-      auto rg = engine.QueryBlocked(qv, fleet, index,
-                                    core::BlockingMode::kGuaranteed,
-                                    core::Matcher::kNaiveBayes, &scratch);
+      index.GuaranteedCandidates(qv, guarantee, &scratch, &survivors);
+      auto rg = engine.QueryWithCandidates(qv, fleet, survivors,
+                                           core::Matcher::kNaiveBayes);
       gu.seconds += sw.ElapsedSeconds();
       if (!rg.ok()) {
         std::fprintf(stderr, "guaranteed query failed: %s\n",
@@ -271,9 +272,9 @@ int main(int argc, char** argv) {
           gu.byte_identical && SameResults(re.value(), rg.value());
 
       sw = Stopwatch();
-      auto ra = engine.QueryBlocked(qv, fleet, index,
-                                    core::BlockingMode::kAggressive,
-                                    core::Matcher::kNaiveBayes, &scratch);
+      index.Candidates(qv, &scratch, &survivors);
+      auto ra = engine.QueryWithCandidates(qv, fleet, survivors,
+                                           core::Matcher::kNaiveBayes);
       ag.seconds += sw.ElapsedSeconds();
       if (!ra.ok()) {
         std::fprintf(stderr, "aggressive query failed: %s\n",

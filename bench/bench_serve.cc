@@ -6,8 +6,13 @@
 // response body must equal the direct FtlEngine call serialized with
 // the same writer.
 //
-// Emits BENCH_serve.json (path overridable via argv[1]). Acceptance
-// floor (ISSUE 7): >= 1000 queries/sec with 8 loopback clients.
+// The daemon serves Q as `ftl serve --ftb` does: a one-segment
+// StoreSnapshot (StoreSnapshot::Static), so this is the benchmark of
+// the static-shard serve path.
+//
+// Emits BENCH_serve.json (path overridable via argv[1]), headed by the
+// commit/host/nproc/isa header bench_e2e artifacts carry. Acceptance
+// floor: >= 1000 queries/sec with 8 loopback clients.
 
 #include <algorithm>
 #include <atomic>
@@ -16,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/e2e/artifact.h"
 #include "bench_common.h"
 #include "ftl/ftl.h"
 #include "obs/metrics.h"
@@ -63,6 +69,10 @@ int main(int argc, char** argv) {
   const size_t requests_per_client = bench::PaperScale() ? 1000 : 400;
   const size_t total_requests = kClients * requests_per_client;
   const size_t workers = std::max(1u, std::thread::hardware_concurrency());
+  // window_s is filled in with the run's length.
+  Stopwatch run_sw;
+  bench_e2e::ArtifactHeader header =
+      bench_e2e::MakeArtifactHeader(config, bench::BenchSeed(), 0.0);
 
   sim::DatasetPair pair = sim::BuildDataset(sim::FindConfig(config),
                                             num_objects, bench::BenchSeed());
@@ -72,11 +82,18 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  auto snap = store::StoreSnapshot::Static(
+      traj::FlatDatabase::FromDatabase(pair.q), core::BlockingMode::kOff, {});
+  if (!snap.ok()) {
+    std::fprintf(stderr, "snapshot failed: %s\n",
+                 snap.status().ToString().c_str());
+    return 1;
+  }
   serve::ServeOptions so;
   so.port = 0;  // ephemeral
   so.num_threads = workers;
   so.max_queue = 256;
-  serve::FtlServer server(so, &engine, &pair.p, &pair.q);
+  serve::FtlServer server(so, &engine, &pair.p, snap.value());
   Status st = server.Start();
   if (!st.ok()) {
     std::fprintf(stderr, "server start failed: %s\n", st.ToString().c_str());
@@ -154,6 +171,9 @@ int main(int argc, char** argv) {
       ok, total_requests, seconds, qps, pct.p50_us, pct.p99_us,
       errors.load(), mismatches.load(), byte_identical ? "true" : "false");
 
+  header.window_s = run_sw.ElapsedSeconds();
+  io::JsonWriter hw;
+  bench_e2e::WriteArtifactHeader(header, &hw);
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
@@ -161,6 +181,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f,
                "{\n"
+               "  \"header\": %s,\n"
                "  \"bench\": \"serve\",\n"
                "  \"config\": \"%s\",\n"
                "  \"p_size\": %zu,\n"
@@ -177,8 +198,9 @@ int main(int argc, char** argv) {
                "  \"results_byte_identical\": %s,\n"
                "  \"metrics\": %s\n"
                "}\n",
-               config.c_str(), pair.p.size(), pair.q.size(), workers,
-               kClients, total_requests, ok, errors.load(), seconds, qps,
+               hw.str().c_str(), config.c_str(), pair.p.size(),
+               pair.q.size(), workers, kClients, total_requests, ok,
+               errors.load(), seconds, qps,
                pct.p50_us, pct.p99_us, byte_identical ? "true" : "false",
                ftl::obs::DumpJson().c_str());
   std::fclose(f);

@@ -121,8 +121,7 @@ void Touch(BlockingScratch* s, uint32_t cand, uint32_t add) {
 /// [min t, max t] over all records; computed explicitly instead of
 /// trusting front()/back(), so inputs violating the sorted invariant
 /// (e.g. hand-built FlatDatabase columns) still get a correct span.
-template <typename TrajT>
-std::pair<int64_t, int64_t> TimeSpan(const TrajT& t) {
+std::pair<int64_t, int64_t> TimeSpan(const traj::FlatTrajectoryView& t) {
   int64_t lo = std::numeric_limits<int64_t>::max();
   int64_t hi = std::numeric_limits<int64_t>::min();
   for (size_t j = 0; j < t.size(); ++j) {
@@ -252,20 +251,9 @@ Status BlockingOptions::Validate() const {
   return Status();
 }
 
-BlockingIndex::BlockingIndex(const traj::TrajectoryDatabase& db,
-                             const BlockingOptions& options)
-    : options_(options) {
-  Build(db);
-}
-
 BlockingIndex::BlockingIndex(const traj::FlatDatabase& db,
                              const BlockingOptions& options)
     : options_(options) {
-  Build(db);
-}
-
-template <typename DbT>
-void BlockingIndex::Build(const DbT& db) {
   Stopwatch sw;
   // Clamp invalid knobs to safe defaults (callers that must reject
   // instead run BlockingOptions::Validate() first).
@@ -398,9 +386,8 @@ void BlockingIndex::Build(const DbT& db) {
   Metrics().build_us->Record(build_micros_);
 }
 
-template <typename QueryT>
-void BlockingIndex::AccumulateSharedCells(const QueryT& query,
-                                          BlockingScratch* scratch) const {
+void BlockingIndex::AccumulateSharedCells(
+    const traj::FlatTrajectoryView& query, BlockingScratch* scratch) const {
   // Base cells of the query, deduplicated.
   std::vector<int64_t>& keys = scratch->keys;
   keys.clear();
@@ -446,10 +433,9 @@ void BlockingIndex::AccumulateSharedCells(const QueryT& query,
   }
 }
 
-template <typename QueryT>
-void BlockingIndex::CandidatesImpl(const QueryT& query,
-                                   BlockingScratch* scratch,
-                                   std::vector<size_t>* out) const {
+void BlockingIndex::Candidates(const traj::FlatTrajectoryView& query,
+                               BlockingScratch* scratch,
+                               std::vector<size_t>* out) const {
   out->clear();
   if (query.empty()) {
     RecordQuery(/*guaranteed=*/false, 0, num_candidates_);
@@ -504,11 +490,9 @@ void BlockingIndex::CandidatesImpl(const QueryT& query,
   RecordQuery(false, out->size(), num_candidates_);
 }
 
-template <typename QueryT>
-void BlockingIndex::GuaranteedImpl(const QueryT& query,
-                                   const BlockingGuarantee& guarantee,
-                                   BlockingScratch* scratch,
-                                   std::vector<size_t>* out) const {
+void BlockingIndex::GuaranteedCandidates(
+    const traj::FlatTrajectoryView& query, const BlockingGuarantee& guarantee,
+    BlockingScratch* scratch, std::vector<size_t>* out) const {
   out->clear();
   if (guarantee.min_segments == 0) {
     // The accept criterion needs no evidence; nothing can be pruned.
@@ -566,53 +550,6 @@ void BlockingIndex::GuaranteedImpl(const QueryT& query,
   }
   std::sort(out->begin(), out->end());
   RecordQuery(true, out->size(), num_candidates_);
-}
-
-void BlockingIndex::Candidates(const traj::Trajectory& query,
-                               BlockingScratch* scratch,
-                               std::vector<size_t>* out) const {
-  CandidatesImpl(query, scratch, out);
-}
-
-void BlockingIndex::Candidates(const traj::FlatTrajectoryView& query,
-                               BlockingScratch* scratch,
-                               std::vector<size_t>* out) const {
-  CandidatesImpl(query, scratch, out);
-}
-
-std::vector<size_t> BlockingIndex::Candidates(
-    const traj::Trajectory& query) const {
-  BlockingScratch scratch;
-  std::vector<size_t> out;
-  CandidatesImpl(query, &scratch, &out);
-  return out;
-}
-
-std::vector<size_t> BlockingIndex::Candidates(
-    const traj::FlatTrajectoryView& query) const {
-  BlockingScratch scratch;
-  std::vector<size_t> out;
-  CandidatesImpl(query, &scratch, &out);
-  return out;
-}
-
-void BlockingIndex::Candidates(const traj::Trajectory& query,
-                               std::vector<size_t>* out) const {
-  BlockingScratch scratch;
-  CandidatesImpl(query, &scratch, out);
-}
-
-void BlockingIndex::GuaranteedCandidates(const traj::Trajectory& query,
-                                         const BlockingGuarantee& guarantee,
-                                         BlockingScratch* scratch,
-                                         std::vector<size_t>* out) const {
-  GuaranteedImpl(query, guarantee, scratch, out);
-}
-
-void BlockingIndex::GuaranteedCandidates(
-    const traj::FlatTrajectoryView& query, const BlockingGuarantee& guarantee,
-    BlockingScratch* scratch, std::vector<size_t>* out) const {
-  GuaranteedImpl(query, guarantee, scratch, out);
 }
 
 }  // namespace ftl::core

@@ -41,7 +41,6 @@
 #include <string_view>
 #include <vector>
 
-#include "traj/database.h"
 #include "traj/flat_database.h"
 #include "util/status.h"
 
@@ -136,30 +135,17 @@ struct BlockingScratch {
 /// construction.
 class BlockingIndex {
  public:
-  /// Builds the index over an AoS database. Invalid options are
-  /// clamped (see BlockingOptions::Validate). Candidate spans are
-  /// computed as true min/max over records, so inputs that violate the
-  /// sorted-trajectory invariant still index correctly.
-  BlockingIndex(const traj::TrajectoryDatabase& db,
-                const BlockingOptions& options);
-
-  /// SoA build path: streams the timestamp/x/y columns directly (e.g.
-  /// an mmap'd FTB segment); no per-record indirection.
+  /// Builds the index by streaming the timestamp/x/y columns of `db`
+  /// (e.g. an mmap'd FTB segment). Invalid options are clamped (see
+  /// BlockingOptions::Validate). Candidate spans are computed as true
+  /// min/max over records, so inputs that violate the sorted-trajectory
+  /// invariant still index correctly.
   BlockingIndex(const traj::FlatDatabase& db, const BlockingOptions& options);
 
   /// Aggressive mode: indices of candidates surviving all enabled
-  /// blockers, ascending. The scratch overloads are the hot path; the
-  /// allocating overloads are conveniences for tests and one-shot
-  /// callers (`out`-only overload kept for source compatibility — it
-  /// builds a scratch per call).
-  void Candidates(const traj::Trajectory& query, BlockingScratch* scratch,
-                  std::vector<size_t>* out) const;
+  /// blockers, ascending.
   void Candidates(const traj::FlatTrajectoryView& query,
                   BlockingScratch* scratch, std::vector<size_t>* out) const;
-  std::vector<size_t> Candidates(const traj::Trajectory& query) const;
-  std::vector<size_t> Candidates(const traj::FlatTrajectoryView& query) const;
-  void Candidates(const traj::Trajectory& query,
-                  std::vector<size_t>* out) const;
 
   /// Guaranteed mode: indices (ascending) of every candidate whose
   /// co-occurrence upper bound allows >= guarantee.min_segments
@@ -170,10 +156,6 @@ class BlockingIndex {
   /// is purely temporal (an informative segment already tolerates
   /// vmax·horizon of travel — tens of kilometres at defaults — so no
   /// spatial test can be both useful and safe; DESIGN.md §13).
-  void GuaranteedCandidates(const traj::Trajectory& query,
-                            const BlockingGuarantee& guarantee,
-                            BlockingScratch* scratch,
-                            std::vector<size_t>* out) const;
   void GuaranteedCandidates(const traj::FlatTrajectoryView& query,
                             const BlockingGuarantee& guarantee,
                             BlockingScratch* scratch,
@@ -203,23 +185,10 @@ class BlockingIndex {
            static_cast<int64_t>(static_cast<uint32_t>(cy));
   }
 
-  template <typename DbT>
-  void Build(const DbT& db);
-
-  template <typename QueryT>
-  void CandidatesImpl(const QueryT& query, BlockingScratch* scratch,
-                      std::vector<size_t>* out) const;
-
-  template <typename QueryT>
-  void GuaranteedImpl(const QueryT& query, const BlockingGuarantee& guarantee,
-                      BlockingScratch* scratch,
-                      std::vector<size_t>* out) const;
-
   /// Accumulates spatial shared-cell counts for `query` into the
   /// scratch (stamp = current generation); probe cells are the
   /// neighborhood expansion of the query's clamped grid cells.
-  template <typename QueryT>
-  void AccumulateSharedCells(const QueryT& query,
+  void AccumulateSharedCells(const traj::FlatTrajectoryView& query,
                              BlockingScratch* scratch) const;
 
   /// True when the candidate span overlaps [q_lo, q_hi].

@@ -583,50 +583,6 @@ BlockingGuarantee FtlEngine::DeriveBlockingGuarantee(Matcher matcher) const {
   return g;
 }
 
-template <typename QueryT, typename DbT>
-Result<QueryResult> FtlEngine::QueryBlockedImpl(
-    const QueryT& query, const DbT& db, const BlockingIndex& index,
-    BlockingMode mode, Matcher matcher, BlockingScratch* scratch,
-    const QueryOptions* qopts) const {
-  if (!trained_) {
-    return Status::FailedPrecondition("FtlEngine::QueryBlocked before Train");
-  }
-  if (mode == BlockingMode::kOff) {
-    return QueryImpl(query, db, nullptr, matcher, options_.num_threads,
-                     nullptr, qopts);
-  }
-  if (index.size() != db.size()) {
-    return Status::InvalidArgument(
-        "blocking index covers " + std::to_string(index.size()) +
-        " candidates but the database has " + std::to_string(db.size()));
-  }
-  BlockingScratch local;
-  BlockingScratch* bs = scratch != nullptr ? scratch : &local;
-  std::vector<size_t> survivors;
-  if (mode == BlockingMode::kGuaranteed) {
-    index.GuaranteedCandidates(query, DeriveBlockingGuarantee(matcher), bs,
-                               &survivors);
-  } else {
-    index.Candidates(query, bs, &survivors);
-  }
-  return QueryImpl(query, db, &survivors, matcher, options_.num_threads,
-                   nullptr, qopts);
-}
-
-Result<QueryResult> FtlEngine::QueryBlocked(
-    const traj::Trajectory& query, const traj::TrajectoryDatabase& db,
-    const BlockingIndex& index, BlockingMode mode, Matcher matcher,
-    BlockingScratch* scratch, const QueryOptions* qopts) const {
-  return QueryBlockedImpl(query, db, index, mode, matcher, scratch, qopts);
-}
-
-Result<QueryResult> FtlEngine::QueryBlocked(
-    const traj::FlatTrajectoryView& query, const traj::FlatDatabase& db,
-    const BlockingIndex& index, BlockingMode mode, Matcher matcher,
-    BlockingScratch* scratch, const QueryOptions* qopts) const {
-  return QueryBlockedImpl(query, db, index, mode, matcher, scratch, qopts);
-}
-
 Result<std::vector<QueryResult>> FtlEngine::BatchQuery(
     const std::vector<traj::Trajectory>& queries,
     const traj::TrajectoryDatabase& db, Matcher matcher,

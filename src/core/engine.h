@@ -226,26 +226,6 @@ class FtlEngine {
   /// scoring (DESIGN.md §13).
   BlockingGuarantee DeriveBlockingGuarantee(Matcher matcher) const;
 
-  /// Query through a BlockingIndex built over `db`: generates the
-  /// candidate set in `mode` (kOff scores everything, kGuaranteed
-  /// preserves accept sets exactly, kAggressive applies the heuristic
-  /// span/co-visitation blockers) and scores the survivors on the
-  /// engine's thread pool. `scratch` (optional) keeps a query loop
-  /// allocation-free; `qopts` (optional) carries deadline/cancel
-  /// limits. The index must have been built over this `db`.
-  Result<QueryResult> QueryBlocked(const traj::Trajectory& query,
-                                   const traj::TrajectoryDatabase& db,
-                                   const BlockingIndex& index,
-                                   BlockingMode mode, Matcher matcher,
-                                   BlockingScratch* scratch = nullptr,
-                                   const QueryOptions* qopts = nullptr) const;
-  Result<QueryResult> QueryBlocked(const traj::FlatTrajectoryView& query,
-                                   const traj::FlatDatabase& db,
-                                   const BlockingIndex& index,
-                                   BlockingMode mode, Matcher matcher,
-                                   BlockingScratch* scratch = nullptr,
-                                   const QueryOptions* qopts = nullptr) const;
-
   /// Answers many queries, optionally in parallel
   /// (options.num_threads > 1). Results align with `queries` order.
   /// `qopts` (may be null) is a deadline / cancellation token shared by
@@ -334,16 +314,6 @@ class FtlEngine {
                                 Matcher matcher, size_t num_threads,
                                 ScoreScratch* scratch,
                                 const QueryOptions* qopts) const;
-
-  /// Shared body of the QueryBlocked overloads: candidate generation
-  /// in `mode` followed by QueryImpl over the survivors on the engine's
-  /// thread pool.
-  template <typename QueryT, typename DbT>
-  Result<QueryResult> QueryBlockedImpl(const QueryT& query, const DbT& db,
-                                       const BlockingIndex& index,
-                                       BlockingMode mode, Matcher matcher,
-                                       BlockingScratch* scratch,
-                                       const QueryOptions* qopts) const;
 
   EngineOptions options_;
   ModelPair models_;

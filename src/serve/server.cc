@@ -169,18 +169,17 @@ struct FtlServer::MetricHandles {
 
 FtlServer::FtlServer(ServeOptions options, const core::FtlEngine* engine,
                      const traj::TrajectoryDatabase* p,
-                     const traj::TrajectoryDatabase* q)
-    : options_(std::move(options)), engine_(engine), p_(p), q_(q) {
+                     std::shared_ptr<const store::StoreSnapshot> q)
+    : options_(std::move(options)),
+      engine_(engine),
+      p_(p),
+      static_q_(std::move(q)) {
   ready_.store(options_.start_ready, std::memory_order_release);
 }
 
 FtlServer::FtlServer(ServeOptions options, const core::FtlEngine* engine,
                      const traj::TrajectoryDatabase* p, store::Store* store)
-    : options_(std::move(options)),
-      engine_(engine),
-      p_(p),
-      q_(nullptr),
-      store_(store) {
+    : options_(std::move(options)), engine_(engine), p_(p), store_(store) {
   ready_.store(options_.start_ready, std::memory_order_release);
 }
 
@@ -194,7 +193,7 @@ Status FtlServer::Start() {
     return Status::FailedPrecondition("server already started");
   }
   if (engine_ == nullptr || p_ == nullptr ||
-      (q_ == nullptr) == (store_ == nullptr)) {
+      (static_q_ == nullptr) == (store_ == nullptr)) {
     return Status::InvalidArgument(
         "engine, P, and exactly one candidate side (Q or store) are "
         "required");
@@ -210,11 +209,6 @@ Status FtlServer::Start() {
   }
   if (options_.store_query_threads == 0) {
     return Status::InvalidArgument("--query-threads must be at least 1");
-  }
-  if (options_.blocking_mode != core::BlockingMode::kOff && q_ != nullptr) {
-    FTL_RETURN_NOT_OK(options_.blocking.Validate());
-    blocking_index_ = std::make_unique<const core::BlockingIndex>(
-        *q_, options_.blocking);
   }
   if (options_.port < 0 || options_.port > 65535) {
     return Status::InvalidArgument("port must be in [0, 65535]");
@@ -463,18 +457,8 @@ HttpResponse FtlServer::HandleQuery(const HttpRequest& req) {
   }
   core::QueryOptions qopts;
   if (deadline_ms > 0) qopts.deadline = Deadline::AfterMillis(deadline_ms);
-  auto r = [&]() {
-    if (store_ != nullptr) {
-      return store_->Snapshot()->Query(*engine_, (*p_)[idx], matcher, &qopts,
-                                       options_.store_query_threads);
-    }
-    if (blocking_index_ != nullptr) {
-      return engine_->QueryBlocked((*p_)[idx], *q_, *blocking_index_,
-                                   options_.blocking_mode, matcher, nullptr,
-                                   &qopts);
-    }
-    return engine_->Query((*p_)[idx], *q_, matcher, &qopts);
-  }();
+  auto r = Snapshot()->Query(*engine_, (*p_)[idx], matcher, &qopts,
+                             options_.store_query_threads);
   if (!r.ok()) return ErrorResponse(r.status());
   return ResultResponse(label, std::move(r).value(), top);
 }
@@ -518,24 +502,7 @@ HttpResponse FtlServer::HandleRank(const HttpRequest& req) {
   }
   core::QueryOptions qopts;
   if (deadline_ms > 0) qopts.deadline = Deadline::AfterMillis(deadline_ms);
-  auto run = [&]() -> Result<core::QueryResult> {
-    if (store_ != nullptr) {
-      return store_->Snapshot()->Rank(*engine_, (*p_)[qidx], labels, matcher,
-                                      &qopts);
-    }
-    std::vector<size_t> indices;
-    indices.reserve(labels.size());
-    for (const std::string& c : labels) {
-      size_t ci = q_->Find(c);
-      if (ci == traj::TrajectoryDatabase::npos) {
-        return Status::NotFound("candidate label '" + c + "' not in Q");
-      }
-      indices.push_back(ci);
-    }
-    return engine_->QueryWithCandidates((*p_)[qidx], *q_, indices, matcher,
-                                        &qopts);
-  };
-  auto r = run();
+  auto r = Snapshot()->Rank(*engine_, (*p_)[qidx], labels, matcher, &qopts);
   if (!r.ok()) return ErrorResponse(r.status());
   return ResultResponse(label, std::move(r).value(), top);
 }
@@ -636,9 +603,9 @@ HttpResponse FtlServer::HandleHealthz() const {
   w.Value(uptime_.ElapsedSeconds());
   w.Key("p_trajectories");
   w.Value(static_cast<uint64_t>(p_->size()));
-  if (q_ != nullptr) {
+  if (static_q_ != nullptr) {
     w.Key("q_trajectories");
-    w.Value(static_cast<uint64_t>(q_->size()));
+    w.Value(static_cast<uint64_t>(static_q_->size()));
   }
   if (store_ != nullptr) {
     w.Key("store");
@@ -698,6 +665,10 @@ HttpResponse FtlServer::HandleShutdown() {
   HttpResponse resp;
   resp.body = "{\"status\":\"draining\"}";
   return resp;
+}
+
+std::shared_ptr<const store::StoreSnapshot> FtlServer::Snapshot() const {
+  return store_ != nullptr ? store_->Snapshot() : static_q_;
 }
 
 void FtlServer::RecordRequest(size_t endpoint_idx, int status,

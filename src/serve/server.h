@@ -18,11 +18,12 @@
 ///                        completes and again once draining begins
 ///   POST /admin/shutdown begin a graceful drain
 ///
-/// The candidate side Q is either a static database (the original
-/// engine mode) or a store::Store (store mode): queries then fan out
-/// over the store's immutable snapshot — byte-identical to the merged
-/// database — and POST /v1/ingest appends through the WAL, visible to
-/// the next query immediately.
+/// The candidate side Q is either a static database, held as a fixed
+/// one-segment store::StoreSnapshot (StoreSnapshot::Static), or a
+/// store::Store (store mode), whose current snapshot answers each
+/// request — byte-identical to the merged database — and where
+/// POST /v1/ingest appends through the WAL, visible to the next query
+/// immediately. Both modes score through StoreSnapshot::Query/Rank.
 ///
 /// Threading model (DESIGN.md §11): one accept thread owns the listen
 /// socket and performs admission control — when the bounded request
@@ -32,7 +33,7 @@
 /// Deadline (PR 2): an expired request returns HTTP 408 carrying the
 /// prefix-consistent partial result. Results are byte-identical to
 /// one-shot `ftl link --json` runs because both paths call the same
-/// FtlEngine entry points and the same JSON serializer.
+/// StoreSnapshot entry points and the same JSON serializer.
 ///
 /// Graceful drain: Shutdown() (or SIGTERM via
 /// InstallShutdownSignalHandlers, or POST /admin/shutdown) stops the
@@ -57,6 +58,7 @@
 
 namespace ftl::store {
 class Store;
+class StoreSnapshot;
 }  // namespace ftl::store
 
 namespace ftl::obs {
@@ -108,24 +110,13 @@ struct ServeOptions {
   /// SIGTERM/SIGINT by InstallShutdownSignalHandlers.
   const std::atomic<int>* stop_flag = nullptr;
 
-  /// Candidate generation (`--blocking`). In engine mode (static Q) a
-  /// BlockingIndex over Q is built once at Start() and every /v1/query
-  /// scores only the survivors (kGuaranteed: byte-identical results;
-  /// kAggressive: heuristic blockers, recall < 1). In store mode set
-  /// StoreOptions::blocking_mode instead — the store's snapshots carry
-  /// per-segment indices and these fields are ignored. /v1/rank is
-  /// never blocked (the client already chose the candidates).
-  core::BlockingMode blocking_mode = core::BlockingMode::kOff;
-  core::BlockingOptions blocking;
-
-  /// Store mode: per-request parallel fan-out (`--query-threads`).
-  /// Each /v1/query shards the snapshot's segment walk onto this many
-  /// threads (StoreSnapshot::Query num_threads) — results stay
-  /// byte-identical to the serial walk. Total concurrency is
-  /// num_threads × store_query_threads; keep the product within the
-  /// machine or set `--threads` down to compensate (CmdServe's
-  /// auto-sizing does this when `--threads` is unset). Ignored in
-  /// engine mode.
+  /// Per-request parallel fan-out (`--query-threads`). Each /v1/query
+  /// shards the snapshot's walk onto this many threads
+  /// (StoreSnapshot::Query num_threads), over a static Q as over a
+  /// store — results stay byte-identical to the serial walk. Total
+  /// concurrency is num_threads × store_query_threads; keep the product
+  /// within the machine or set `--threads` down to compensate
+  /// (CmdServe's auto-sizing does this when `--threads` is unset).
   size_t store_query_threads = 1;
 
   /// When false the server starts NOT ready: /readyz answers 503 and
@@ -137,15 +128,17 @@ struct ServeOptions {
   bool start_ready = true;
 };
 
-/// The daemon. The engine and both databases must outlive the server
-/// and are never mutated by it; `engine` must already be trained with
+/// The daemon. The engine and P must outlive the server and are never
+/// mutated by it; `engine` must already be trained with
 /// `num_threads == 1` (request-level parallelism comes from the worker
-/// pool, not intra-query threads).
+/// pool and `store_query_threads`, not the engine's own threads).
 class FtlServer {
  public:
+  /// Static Q: every request scores against the fixed snapshot `q`
+  /// (see StoreSnapshot::Static, which also carries the blocking mode).
   FtlServer(ServeOptions options, const core::FtlEngine* engine,
             const traj::TrajectoryDatabase* p,
-            const traj::TrajectoryDatabase* q);
+            std::shared_ptr<const store::StoreSnapshot> q);
 
   /// Store mode: the candidate side is a mutable store::Store instead
   /// of a static Q. /v1/query and /v1/rank evaluate against the
@@ -217,14 +210,15 @@ class FtlServer {
 
   void RecordRequest(size_t endpoint_idx, int status, int64_t latency_us);
 
+  /// The snapshot a request scores against: the store's current one,
+  /// or the static Q.
+  std::shared_ptr<const store::StoreSnapshot> Snapshot() const;
+
   ServeOptions options_;
   const core::FtlEngine* engine_;
   const traj::TrajectoryDatabase* p_;
-  const traj::TrajectoryDatabase* q_;        // engine mode; null in store mode
-  store::Store* store_ = nullptr;            // store mode; null in engine mode
-  /// Engine mode with blocking_mode != kOff: the index over Q, built
-  /// at Start() and immutable afterwards.
-  std::unique_ptr<const core::BlockingIndex> blocking_index_;
+  std::shared_ptr<const store::StoreSnapshot> static_q_;  // null in store mode
+  store::Store* store_ = nullptr;  // store mode; null with a static Q
 
   int listen_fd_ = -1;
   int port_ = 0;

@@ -220,6 +220,19 @@ std::shared_ptr<const StoreSnapshot> StoreSnapshot::Build(
   return snap;
 }
 
+Result<std::shared_ptr<const StoreSnapshot>> StoreSnapshot::Static(
+    traj::FlatDatabase q, core::BlockingMode mode,
+    const core::BlockingOptions& blocking) {
+  std::vector<std::shared_ptr<const core::BlockingIndex>> indices;
+  if (mode != core::BlockingMode::kOff) {
+    FTL_RETURN_NOT_OK(blocking.Validate());
+    indices.push_back(std::make_shared<const core::BlockingIndex>(q, blocking));
+  }
+  MutableSegment no_memtable;
+  return Build({std::make_shared<const traj::FlatDatabase>(std::move(q))},
+               no_memtable, 0, 0, std::move(indices), mode);
+}
+
 size_t StoreSnapshot::Find(std::string_view label) const {
   auto it = by_label_.find(std::string(label));
   return it == by_label_.end() ? npos : it->second;

@@ -131,6 +131,14 @@ class StoreSnapshot {
  public:
   static constexpr size_t npos = static_cast<size_t>(-1);
 
+  /// A fixed one-segment snapshot over a static Q: how `ftl link` and
+  /// `ftl serve --q/--ftb` score, through the same Query and Rank as
+  /// store mode. When `mode` is not kOff the segment gets its
+  /// BlockingIndex here; InvalidArgument if `blocking` fails Validate().
+  static Result<std::shared_ptr<const StoreSnapshot>> Static(
+      traj::FlatDatabase q, core::BlockingMode mode,
+      const core::BlockingOptions& blocking);
+
   /// Canonical trajectory count (the merged |Q|).
   size_t size() const { return canon_.size(); }
   bool empty() const { return canon_.empty(); }

@@ -12,7 +12,9 @@
 
 #include "core/blocking.h"
 #include "core/engine.h"
+#include "io/report_json.h"
 #include "sim/population_sim.h"
+#include "store/store.h"
 #include "traj/flat_database.h"
 
 namespace ftl::core {
@@ -35,15 +37,49 @@ BlockingOptions NoSlack() {
   return o;
 }
 
+/// The columns BlockingIndex reads.
+traj::FlatDatabase Flat(const TrajectoryDatabase& db) {
+  return traj::FlatDatabase::FromDatabase(db);
+}
+
+traj::FlatDatabase Flat(const Trajectory& t) {
+  TrajectoryDatabase db;
+  EXPECT_TRUE(db.Add(t).ok());
+  return Flat(db);
+}
+
+/// Aggressive-mode survivors for `query`, on a fresh scratch.
+std::vector<size_t> Candidates(const BlockingIndex& index,
+                               const traj::FlatTrajectoryView& query) {
+  BlockingScratch scratch;
+  std::vector<size_t> out;
+  index.Candidates(query, &scratch, &out);
+  return out;
+}
+
+std::vector<size_t> Candidates(const BlockingIndex& index,
+                               const Trajectory& query) {
+  const traj::FlatDatabase q = Flat(query);
+  return Candidates(index, q[0]);
+}
+
+void GuaranteedCandidates(const BlockingIndex& index, const Trajectory& query,
+                          const BlockingGuarantee& guarantee,
+                          BlockingScratch* scratch,
+                          std::vector<size_t>* out) {
+  const traj::FlatDatabase q = Flat(query);
+  index.GuaranteedCandidates(q[0], guarantee, scratch, out);
+}
+
 TEST(BlockingTest, TemporalDisjointPruned) {
   TrajectoryDatabase db;
   (void)db.Add(T("early", 1, {R(0, 0, 0), R(0, 0, 100)}));
   (void)db.Add(T("late", 2, {R(0, 0, 100000), R(0, 0, 100100)}));
   BlockingOptions o = NoSlack();
   o.use_spatial = false;
-  BlockingIndex index(db, o);
+  BlockingIndex index(Flat(db), o);
   Trajectory query = T("q", 9, {R(0, 0, 50), R(0, 0, 80)});
-  auto cands = index.Candidates(query);
+  auto cands = Candidates(index, query);
   ASSERT_EQ(cands.size(), 1u);
   EXPECT_EQ(db[cands[0]].label(), "early");
 }
@@ -54,12 +90,12 @@ TEST(BlockingTest, TemporalSlackExtendsWindow) {
   BlockingOptions o;
   o.use_spatial = false;
   o.temporal_slack_seconds = 0;
-  BlockingIndex tight(db, o);
+  BlockingIndex tight(Flat(db), o);
   o.temporal_slack_seconds = 5000;
-  BlockingIndex loose(db, o);
+  BlockingIndex loose(Flat(db), o);
   Trajectory query = T("q", 9, {R(0, 0, 0), R(0, 0, 100)});
-  EXPECT_TRUE(tight.Candidates(query).empty());
-  EXPECT_EQ(loose.Candidates(query).size(), 1u);
+  EXPECT_TRUE(Candidates(tight, query).empty());
+  EXPECT_EQ(Candidates(loose, query).size(), 1u);
 }
 
 TEST(BlockingTest, SpatialSharedCellRequired) {
@@ -70,9 +106,9 @@ TEST(BlockingTest, SpatialSharedCellRequired) {
   o.use_temporal = false;
   o.cell_size_meters = 1000.0;
   o.neighborhood = 1;
-  BlockingIndex index(db, o);
+  BlockingIndex index(Flat(db), o);
   Trajectory query = T("q", 9, {R(150, 150, 25)});
-  auto cands = index.Candidates(query);
+  auto cands = Candidates(index, query);
   ASSERT_EQ(cands.size(), 1u);
   EXPECT_EQ(db[cands[0]].label(), "here");
 }
@@ -85,12 +121,12 @@ TEST(BlockingTest, NeighborhoodAbsorbsCellBoundary) {
   o.use_temporal = false;
   o.cell_size_meters = 1000.0;
   o.neighborhood = 0;
-  BlockingIndex strict(db, o);
+  BlockingIndex strict(Flat(db), o);
   o.neighborhood = 1;
-  BlockingIndex relaxed(db, o);
+  BlockingIndex relaxed(Flat(db), o);
   Trajectory query = T("q", 9, {R(999, 0, 0)});
-  EXPECT_TRUE(strict.Candidates(query).empty());
-  EXPECT_EQ(relaxed.Candidates(query).size(), 1u);
+  EXPECT_TRUE(Candidates(strict, query).empty());
+  EXPECT_EQ(Candidates(relaxed, query).size(), 1u);
 }
 
 TEST(BlockingTest, MinSharedCellsFilters) {
@@ -104,9 +140,9 @@ TEST(BlockingTest, MinSharedCellsFilters) {
   o.cell_size_meters = 1000.0;
   o.neighborhood = 0;
   o.min_shared_cells = 2;
-  BlockingIndex index(db, o);
+  BlockingIndex index(Flat(db), o);
   Trajectory query = T("q", 9, {R(400, 400, 10), R(5600, 5600, 60)});
-  auto cands = index.Candidates(query);
+  auto cands = Candidates(index, query);
   ASSERT_EQ(cands.size(), 1u);
   EXPECT_EQ(db[cands[0]].label(), "two-cells");
 }
@@ -114,16 +150,16 @@ TEST(BlockingTest, MinSharedCellsFilters) {
 TEST(BlockingTest, EmptyQueryNoCandidates) {
   TrajectoryDatabase db;
   (void)db.Add(T("a", 1, {R(0, 0, 0)}));
-  BlockingIndex index(db, {});
-  EXPECT_TRUE(index.Candidates(T("q", 9, {})).empty());
+  BlockingIndex index(Flat(db), {});
+  EXPECT_TRUE(Candidates(index, T("q", 9, {})).empty());
 }
 
 TEST(BlockingTest, EmptyCandidatesNeverReturned) {
   TrajectoryDatabase db;
   (void)db.Add(T("empty", 1, {}));
   (void)db.Add(T("full", 2, {R(0, 0, 0), R(0, 0, 100)}));
-  BlockingIndex index(db, {});
-  auto cands = index.Candidates(T("q", 9, {R(10, 10, 50)}));
+  BlockingIndex index(Flat(db), {});
+  auto cands = Candidates(index, T("q", 9, {R(10, 10, 50)}));
   ASSERT_EQ(cands.size(), 1u);
   EXPECT_EQ(db[cands[0]].label(), "full");
 }
@@ -147,13 +183,13 @@ TEST(BlockingTest, HighRecallOnPopulation) {
   BlockingOptions o;
   o.cell_size_meters = 4000.0;
   o.neighborhood = 1;
-  BlockingIndex index(data.transit_db, o);
+  BlockingIndex index(Flat(data.transit_db), o);
 
   size_t kept_true = 0, total = 0, candidate_sum = 0;
   for (const auto& query : data.cdr_db) {
     if (query.size() < 2) continue;
     ++total;
-    auto cands = index.Candidates(query);
+    auto cands = Candidates(index, query);
     candidate_sum += cands.size();
     for (size_t ci : cands) {
       if (data.transit_db[ci].owner() == query.owner()) {
@@ -185,9 +221,9 @@ TEST(BlockingTest, QueryWithCandidatesMatchesFullQueryOnSurvivors) {
   FtlEngine engine(eo);
   ASSERT_TRUE(engine.Train(data.cdr_db, data.transit_db).ok());
 
-  BlockingIndex index(data.transit_db, {});
+  BlockingIndex index(Flat(data.transit_db), {});
   const auto& query = data.cdr_db[3];
-  auto survivors = index.Candidates(query);
+  auto survivors = Candidates(index, query);
   auto full = engine.Query(query, data.transit_db, Matcher::kNaiveBayes);
   auto blocked = engine.QueryWithCandidates(query, data.transit_db,
                                             survivors,
@@ -261,12 +297,12 @@ TEST(BlockingTest, UnsortedInputSpansComputedAsMinMax) {
   BlockingIndex index(db, o);
   // Query strictly inside [50, 100000] but far from both endpoints.
   traj::FlatDatabase qdb = FlatFromRows({{"q", {R(0, 0, 40000)}}});
-  auto mid = index.Candidates(qdb[0]);
+  auto mid = Candidates(index, qdb[0]);
   ASSERT_EQ(mid.size(), 1u);
   EXPECT_EQ(mid[0], 0u);
   // And outside the true span it is still pruned.
   traj::FlatDatabase qout = FlatFromRows({{"q2", {R(0, 0, 200000)}}});
-  EXPECT_TRUE(index.Candidates(qout[0]).empty());
+  EXPECT_TRUE(Candidates(index, qout[0]).empty());
 }
 
 // --------------------------------------------------------------------------
@@ -417,10 +453,6 @@ TEST(BlockingTest, MatchesBruteForceReference) {
     for (size_t i = 0; i < n; ++i) {
       rows.push_back({std::to_string(i), RandomRecords(&rng)});
     }
-    TrajectoryDatabase aos;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      ASSERT_TRUE(aos.Add(T(rows[i].first, i + 1, rows[i].second)).ok());
-    }
     const traj::FlatDatabase soa = FlatFromRows(rows);
 
     BlockingOptions o;
@@ -434,9 +466,7 @@ TEST(BlockingTest, MatchesBruteForceReference) {
     o.temporal_slack_seconds = slacks[rng() % 3];
     o.use_temporal = rng() % 4 != 0;
     o.use_spatial = rng() % 4 != 0;
-    const BlockingIndex aos_index(aos, o);
     const BlockingIndex soa_index(soa, o);
-    ASSERT_EQ(aos_index.size(), rows.size());
     ASSERT_EQ(soa_index.size(), rows.size());
 
     for (int qi = 0; qi < 6; ++qi) {
@@ -444,32 +474,22 @@ TEST(BlockingTest, MatchesBruteForceReference) {
       std::vector<Record> q = rows.empty() || rng() % 2
                                   ? RandomRecords(&rng)
                                   : rows[rng() % rows.size()].second;
-      const Trajectory q_aos = T("q", 0, q);
       const traj::FlatDatabase q_soa = FlatFromRows({{"q", q}});
       SCOPED_TRACE("trial " + std::to_string(trial) + " query " +
                    std::to_string(qi) + " bucket " +
                    std::to_string(o.time_bucket_seconds));
 
       const std::vector<size_t> want = RefCandidates(rows, q, o);
-      for (const BlockingIndex* index : {&aos_index, &soa_index}) {
-        index->Candidates(q_aos, &scratch, &got);
-        EXPECT_EQ(got, want);
-        index->Candidates(q_soa[0], &scratch, &got);
-        EXPECT_EQ(got, want);
-      }
+      soa_index.Candidates(q_soa[0], &scratch, &got);
+      EXPECT_EQ(got, want);
 
       const int64_t horizons[] = {0, 1, 3599, 3600, 7200, int64_t{1} << 40};
       const uint64_t min_segs[] = {0, 1, 2, 5};
       const BlockingGuarantee g{horizons[rng() % 6], min_segs[rng() % 4]};
       const std::vector<size_t> want_g = RefGuaranteed(rows, q, o, g);
-      for (const BlockingIndex* index : {&aos_index, &soa_index}) {
-        index->GuaranteedCandidates(q_aos, g, &scratch, &got);
-        EXPECT_EQ(got, want_g) << "horizon " << g.horizon_seconds
-                               << " min_segments " << g.min_segments;
-        index->GuaranteedCandidates(q_soa[0], g, &scratch, &got);
-        EXPECT_EQ(got, want_g) << "horizon " << g.horizon_seconds
-                               << " min_segments " << g.min_segments;
-      }
+      soa_index.GuaranteedCandidates(q_soa[0], g, &scratch, &got);
+      EXPECT_EQ(got, want_g) << "horizon " << g.horizon_seconds
+                             << " min_segments " << g.min_segments;
     }
   }
 }
@@ -485,19 +505,19 @@ TEST(BlockingTest, ExtremeTimestampSpanGoesToOverflowList) {
   BlockingOptions o = NoSlack();
   o.use_spatial = false;
   o.time_bucket_seconds = 1;
-  const BlockingIndex index(db, o);
-  EXPECT_EQ(index.Candidates(T("q", 9, {R(0, 0, 0)})),
+  const BlockingIndex index(Flat(db), o);
+  EXPECT_EQ(Candidates(index, T("q", 9, {R(0, 0, 0)})),
             (std::vector<size_t>{0}));
-  EXPECT_EQ(index.Candidates(T("q", 9, {R(0, 0, far - 5)})),
+  EXPECT_EQ(Candidates(index, T("q", 9, {R(0, 0, far - 5)})),
             (std::vector<size_t>{0, 1}));
-  EXPECT_TRUE(index.Candidates(T("q", 9, {R(0, 0, far + 1)})).empty());
+  EXPECT_TRUE(Candidates(index, T("q", 9, {R(0, 0, far + 1)})).empty());
   BlockingScratch scratch;
   std::vector<size_t> out;
-  index.GuaranteedCandidates(T("q", 9, {R(0, 0, far)}), {0, 2}, &scratch,
-                             &out);
+  GuaranteedCandidates(index, T("q", 9, {R(0, 0, far)}), {0, 2}, &scratch,
+                       &out);
   EXPECT_EQ(out, (std::vector<size_t>{0, 1}));
-  index.GuaranteedCandidates(T("q", 9, {R(0, 0, -far)}), {0, 2}, &scratch,
-                             &out);
+  GuaranteedCandidates(index, T("q", 9, {R(0, 0, -far)}), {0, 2}, &scratch,
+                       &out);
   EXPECT_EQ(out, (std::vector<size_t>{0}));
 }
 
@@ -515,14 +535,14 @@ TEST(BlockingTest, ExtremeCoordinatesDoNotOverflow) {
   o.use_temporal = false;
   o.cell_size_meters = 0.001;  // tiny cells amplify the coordinates
   o.neighborhood = 1;
-  BlockingIndex index(db, o);
+  BlockingIndex index(Flat(db), o);
   // A normal-area query must not pick up the saturated candidates.
-  auto near = index.Candidates(T("q", 9, {R(100, 100, 0)}));
+  auto near = Candidates(index, T("q", 9, {R(100, 100, 0)}));
   ASSERT_EQ(near.size(), 1u);
   EXPECT_EQ(db[near[0]].label(), "near");
   // A saturated query lands in the same clamped cells as the
   // saturated candidates — no crash, deterministic result.
-  auto far = index.Candidates(T("q2", 9, {R(1e308, -1e308, 0)}));
+  auto far = Candidates(index, T("q2", 9, {R(1e308, -1e308, 0)}));
   EXPECT_FALSE(far.empty());
 }
 
@@ -572,16 +592,16 @@ TEST(BlockingTest, CallerOwnedScratchReusableAcrossIndices) {
                     {R(i * 10.0, 0, i * 10), R(i * 10.0, 0, i * 10 + 5)}));
   }
   BlockingOptions o;
-  BlockingIndex small_index(small, o);
-  BlockingIndex big_index(big, o);
+  BlockingIndex small_index(Flat(small), o);
+  BlockingIndex big_index(Flat(big), o);
   BlockingScratch scratch;
-  Trajectory query = T("q", 9, {R(0, 0, 50)});
+  const traj::FlatDatabase query = Flat(T("q", 9, {R(0, 0, 50)}));
   for (int round = 0; round < 3; ++round) {
     std::vector<size_t> out;
-    small_index.Candidates(query, &scratch, &out);
-    EXPECT_EQ(out, small_index.Candidates(query));
-    big_index.Candidates(query, &scratch, &out);
-    EXPECT_EQ(out, big_index.Candidates(query));
+    small_index.Candidates(query[0], &scratch, &out);
+    EXPECT_EQ(out, Candidates(small_index, query[0]));
+    big_index.Candidates(query[0], &scratch, &out);
+    EXPECT_EQ(out, Candidates(big_index, query[0]));
   }
 }
 
@@ -594,12 +614,12 @@ TEST(BlockingTest, NegativeCoordinatesStraddleCellZero) {
   o.use_temporal = false;
   o.cell_size_meters = 1000.0;
   o.neighborhood = 0;
-  BlockingIndex strict(db, o);
+  BlockingIndex strict(Flat(db), o);
   o.neighborhood = 1;
-  BlockingIndex relaxed(db, o);
+  BlockingIndex relaxed(Flat(db), o);
   Trajectory query = T("q", 9, {R(1, 1, 0)});
-  EXPECT_TRUE(strict.Candidates(query).empty());
-  EXPECT_EQ(relaxed.Candidates(query).size(), 1u);
+  EXPECT_TRUE(Candidates(strict, query).empty());
+  EXPECT_EQ(Candidates(relaxed, query).size(), 1u);
 }
 
 TEST(BlockingTest, BothBlockersDisabledReturnsIdentity) {
@@ -610,11 +630,11 @@ TEST(BlockingTest, BothBlockersDisabledReturnsIdentity) {
   BlockingOptions o;
   o.use_temporal = false;
   o.use_spatial = false;
-  BlockingIndex index(db, o);
-  auto cands = index.Candidates(T("q", 9, {R(0, 0, 0)}));
+  BlockingIndex index(Flat(db), o);
+  auto cands = Candidates(index, T("q", 9, {R(0, 0, 0)}));
   EXPECT_EQ(cands, (std::vector<size_t>{0, 1, 2}));
   // ... but an empty query still returns nothing.
-  EXPECT_TRUE(index.Candidates(T("q2", 9, {})).empty());
+  EXPECT_TRUE(Candidates(index, T("q2", 9, {})).empty());
 }
 
 TEST(BlockingTest, MinSharedCellsZeroDisablesSpatialFilter) {
@@ -623,8 +643,8 @@ TEST(BlockingTest, MinSharedCellsZeroDisablesSpatialFilter) {
   BlockingOptions o = NoSlack();
   o.use_temporal = false;
   o.min_shared_cells = 0;
-  BlockingIndex index(db, o);
-  EXPECT_EQ(index.Candidates(T("q", 9, {R(0, 0, 0)})).size(), 1u);
+  BlockingIndex index(Flat(db), o);
+  EXPECT_EQ(Candidates(index, T("q", 9, {R(0, 0, 0)})).size(), 1u);
 }
 
 TEST(BlockingGuaranteedTest, EdgeCases) {
@@ -632,31 +652,31 @@ TEST(BlockingGuaranteedTest, EdgeCases) {
   (void)db.Add(T("a", 1, {R(0, 0, 0), R(0, 0, 100)}));
   (void)db.Add(T("empty", 2, {}));
   (void)db.Add(T("far", 3, {R(0, 0, 1000000)}));
-  BlockingIndex index(db, {});
+  BlockingIndex index(Flat(db), {});
   BlockingScratch scratch;
   std::vector<size_t> out;
 
   // min_segments == 0 means "cannot prune": identity, even for an
   // empty query (a no-evidence accept criterion accepts everything).
   BlockingGuarantee cannot{3600, 0};
-  index.GuaranteedCandidates(T("q", 9, {}), cannot, &scratch, &out);
+  GuaranteedCandidates(index, T("q", 9, {}), cannot, &scratch, &out);
   EXPECT_EQ(out, (std::vector<size_t>{0, 1, 2}));
 
   // An empty query has no co-occurrence: with a real bound everything
   // is provably unacceptable.
   BlockingGuarantee g{3600, 1};
-  index.GuaranteedCandidates(T("q", 9, {}), g, &scratch, &out);
+  GuaranteedCandidates(index, T("q", 9, {}), g, &scratch, &out);
   EXPECT_TRUE(out.empty());
 
   // Empty candidates can never co-occur; far candidates are outside
   // the horizon.
-  index.GuaranteedCandidates(T("q", 9, {R(0, 0, 50)}), g, &scratch, &out);
+  GuaranteedCandidates(index, T("q", 9, {R(0, 0, 50)}), g, &scratch, &out);
   EXPECT_EQ(out, (std::vector<size_t>{0}));
 }
 
-/// Property harness: guaranteed mode must keep engine results
-/// byte-identical to exhaustive scoring, for both matchers, on both
-/// representations.
+/// Property harness: a static snapshot in guaranteed mode must answer
+/// byte-identically to exhaustive engine scoring, apart from the count
+/// of scored candidates.
 void ExpectGuaranteedIdentity(Matcher matcher) {
   sim::PopulationOptions po;
   po.num_persons = 40;
@@ -670,38 +690,19 @@ void ExpectGuaranteedIdentity(Matcher matcher) {
   FtlEngine engine(eo);
   ASSERT_TRUE(engine.Train(data.cdr_db, data.transit_db).ok());
 
-  BlockingIndex index(data.transit_db, {});
-  traj::FlatDatabase flat_q = traj::FlatDatabase::FromDatabase(
-      data.transit_db);
-  BlockingIndex flat_index(flat_q, {});
-  traj::FlatDatabase flat_p = traj::FlatDatabase::FromDatabase(data.cdr_db);
-  BlockingScratch scratch;
-  for (size_t qi = 0; qi < data.cdr_db.size(); ++qi) {
-    auto full = engine.Query(data.cdr_db[qi], data.transit_db, matcher);
-    auto blocked = engine.QueryBlocked(data.cdr_db[qi], data.transit_db,
-                                       index, BlockingMode::kGuaranteed,
-                                       matcher, &scratch);
+  auto snap = store::StoreSnapshot::Static(Flat(data.transit_db),
+                                           BlockingMode::kGuaranteed, {});
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  for (const Trajectory& query : data.cdr_db) {
+    auto full = engine.Query(query, data.transit_db, matcher);
+    auto blocked = snap.value()->Query(engine, query, matcher, nullptr);
     ASSERT_TRUE(full.ok());
     ASSERT_TRUE(blocked.ok());
-    ASSERT_EQ(full.value().candidates.size(),
-              blocked.value().candidates.size());
-    for (size_t i = 0; i < full.value().candidates.size(); ++i) {
-      EXPECT_EQ(full.value().candidates[i].index,
-                blocked.value().candidates[i].index);
-      EXPECT_EQ(full.value().candidates[i].score,
-                blocked.value().candidates[i].score);
-    }
-    // SoA path: same property over the columnar database.
-    auto flat_blocked = engine.QueryBlocked(
-        flat_p[qi], flat_q, flat_index, BlockingMode::kGuaranteed, matcher,
-        &scratch);
-    ASSERT_TRUE(flat_blocked.ok());
-    ASSERT_EQ(full.value().candidates.size(),
-              flat_blocked.value().candidates.size());
-    for (size_t i = 0; i < full.value().candidates.size(); ++i) {
-      EXPECT_EQ(full.value().candidates[i].index,
-                flat_blocked.value().candidates[i].index);
-    }
+    // Pruning changes only how many candidates were scored.
+    core::QueryResult want = std::move(full).value();
+    want.evaluated = blocked.value().evaluated;
+    EXPECT_EQ(io::QueryResultToJson(query.label(), blocked.value()),
+              io::QueryResultToJson(query.label(), want));
   }
 }
 
@@ -713,7 +714,7 @@ TEST(BlockingGuaranteedTest, AlphaFilterAcceptSetsByteIdentical) {
   ExpectGuaranteedIdentity(Matcher::kAlphaFilter);
 }
 
-TEST(BlockingGuaranteedTest, QueryBlockedOffMatchesPlainQuery) {
+TEST(BlockingGuaranteedTest, StaticOffMatchesPlainQuery) {
   sim::PopulationOptions po;
   po.num_persons = 15;
   po.duration_days = 3;
@@ -721,36 +722,17 @@ TEST(BlockingGuaranteedTest, QueryBlockedOffMatchesPlainQuery) {
   auto data = sim::SimulatePopulation(po);
   FtlEngine engine;
   ASSERT_TRUE(engine.Train(data.cdr_db, data.transit_db).ok());
-  BlockingIndex index(data.transit_db, {});
-  auto off = engine.QueryBlocked(data.cdr_db[0], data.transit_db, index,
-                                 BlockingMode::kOff, Matcher::kNaiveBayes);
+  auto snap = store::StoreSnapshot::Static(Flat(data.transit_db),
+                                           BlockingMode::kOff, {});
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  auto off = snap.value()->Query(engine, data.cdr_db[0],
+                                 Matcher::kNaiveBayes, nullptr);
   auto plain = engine.Query(data.cdr_db[0], data.transit_db,
                             Matcher::kNaiveBayes);
   ASSERT_TRUE(off.ok());
   ASSERT_TRUE(plain.ok());
-  ASSERT_EQ(off.value().candidates.size(), plain.value().candidates.size());
-  for (size_t i = 0; i < off.value().candidates.size(); ++i) {
-    EXPECT_EQ(off.value().candidates[i].index,
-              plain.value().candidates[i].index);
-  }
-}
-
-TEST(BlockingGuaranteedTest, IndexSizeMismatchRejected) {
-  sim::PopulationOptions po;
-  po.num_persons = 10;
-  po.duration_days = 2;
-  po.seed = 409;
-  auto data = sim::SimulatePopulation(po);
-  FtlEngine engine;
-  ASSERT_TRUE(engine.Train(data.cdr_db, data.transit_db).ok());
-  TrajectoryDatabase other;
-  (void)other.Add(T("x", 1, {R(0, 0, 0)}));
-  BlockingIndex stale(other, {});
-  auto r = engine.QueryBlocked(data.cdr_db[0], data.transit_db, stale,
-                               BlockingMode::kGuaranteed,
-                               Matcher::kNaiveBayes);
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(io::QueryResultToJson(data.cdr_db[0].label(), off.value()),
+            io::QueryResultToJson(data.cdr_db[0].label(), plain.value()));
 }
 
 TEST(BlockingTest, OutOfRangeCandidateIndexRejected) {

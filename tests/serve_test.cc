@@ -102,6 +102,15 @@ class ServeTest : public ::testing::Test {
   void SetUp() override { failpoint::DisarmAll(); }
   void TearDown() override { failpoint::DisarmAll(); }
 
+  // Q as `ftl serve --ftb` holds it: a one-segment snapshot.
+  static std::shared_ptr<const store::StoreSnapshot> StaticQ(
+      core::BlockingMode mode = core::BlockingMode::kOff) {
+    auto snap = store::StoreSnapshot::Static(
+        traj::FlatDatabase::FromDatabase(data_->transit_db), mode, {});
+    EXPECT_TRUE(snap.ok()) << snap.status().ToString();
+    return snap.ok() ? snap.value() : nullptr;
+  }
+
   // Starts a daemon on an ephemeral port.
   ServeOptions EphemeralOptions() {
     ServeOptions so;
@@ -160,18 +169,17 @@ void ExpectRankPrefixPartial(const Result<HttpResponse>& r,
 TEST_F(ServeTest, StartRejectsBadConfig) {
   ServeOptions so = EphemeralOptions();
   so.max_queue = 0;
-  FtlServer bad_queue(so, engine_, &data_->cdr_db, &data_->transit_db);
+  FtlServer bad_queue(so, engine_, &data_->cdr_db, StaticQ());
   EXPECT_EQ(bad_queue.Start().code(), StatusCode::kInvalidArgument);
 
   FtlEngine untrained(ServeEngineOptions());
   FtlServer bad_engine(EphemeralOptions(), &untrained, &data_->cdr_db,
-                       &data_->transit_db);
+                       StaticQ());
   EXPECT_EQ(bad_engine.Start().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(ServeTest, HealthzReportsReadiness) {
-  FtlServer server(EphemeralOptions(), engine_, &data_->cdr_db,
-                   &data_->transit_db);
+  FtlServer server(EphemeralOptions(), engine_, &data_->cdr_db, StaticQ());
   ASSERT_TRUE(server.Start().ok());
   auto r = HttpRequestOnce("127.0.0.1", server.port(), "GET", "/healthz", "");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -187,8 +195,7 @@ TEST_F(ServeTest, HealthzReportsReadiness) {
 }
 
 TEST_F(ServeTest, BadRequestsMapToTheContract) {
-  FtlServer server(EphemeralOptions(), engine_, &data_->cdr_db,
-                   &data_->transit_db);
+  FtlServer server(EphemeralOptions(), engine_, &data_->cdr_db, StaticQ());
   ASSERT_TRUE(server.Start().ok());
   int port = server.port();
 
@@ -228,7 +235,7 @@ TEST_F(ServeTest, BadRequestsMapToTheContract) {
 TEST_F(ServeTest, OversizedBodyReturns413) {
   ServeOptions so = EphemeralOptions();
   so.max_body_bytes = 64;
-  FtlServer server(so, engine_, &data_->cdr_db, &data_->transit_db);
+  FtlServer server(so, engine_, &data_->cdr_db, StaticQ());
   ASSERT_TRUE(server.Start().ok());
   std::string big = "{\"query\":\"" + std::string(200, 'x') + "\"}";
   auto r = HttpRequestOnce("127.0.0.1", server.port(), "POST", "/v1/query",
@@ -243,8 +250,7 @@ TEST_F(ServeTest, OversizedBodyReturns413) {
 // byte-identical to calling FtlEngine directly and serializing with
 // the same writer — the serve layer adds no numeric or ordering drift.
 TEST_F(ServeTest, ConcurrentClientsGetByteIdenticalResults) {
-  FtlServer server(EphemeralOptions(), engine_, &data_->cdr_db,
-                   &data_->transit_db);
+  FtlServer server(EphemeralOptions(), engine_, &data_->cdr_db, StaticQ());
   ASSERT_TRUE(server.Start().ok());
   int port = server.port();
 
@@ -278,12 +284,11 @@ TEST_F(ServeTest, ConcurrentClientsGetByteIdenticalResults) {
 }
 
 TEST_F(ServeTest, BlockedQueriesByteIdenticalInGuaranteedMode) {
-  // Engine mode with --blocking guaranteed: the server builds the
-  // index over Q at Start() and every /v1/query response must stay
-  // byte-identical to direct exhaustive engine calls.
-  ServeOptions so = EphemeralOptions();
-  so.blocking_mode = core::BlockingMode::kGuaranteed;
-  FtlServer server(so, engine_, &data_->cdr_db, &data_->transit_db);
+  // A static Q with --blocking guaranteed: the snapshot carries the
+  // index over Q and every /v1/query response must stay byte-identical
+  // to direct exhaustive engine calls.
+  FtlServer server(EphemeralOptions(), engine_, &data_->cdr_db,
+                   StaticQ(core::BlockingMode::kGuaranteed));
   ASSERT_TRUE(server.Start().ok());
   int port = server.port();
   for (size_t i = 0; i < 6; ++i) {
@@ -302,17 +307,48 @@ TEST_F(ServeTest, BlockedQueriesByteIdenticalInGuaranteedMode) {
   server.Wait();
 }
 
-TEST_F(ServeTest, StartRejectsInvalidBlockingOptions) {
+// --query-threads on static shards: a Q wide enough to cut into
+// several snapshot work units, sharded over 4 threads per request, must
+// answer byte-identically to the serial engine.
+TEST_F(ServeTest, StaticQueryThreadsByteIdentical) {
+  traj::TrajectoryDatabase wide("Q");
+  for (int copy = 0; copy < 16; ++copy) {
+    for (const traj::Trajectory& t : data_->transit_db) {
+      ASSERT_TRUE(wide.Add(traj::Trajectory("c" + std::to_string(copy) + "-" +
+                                                t.label(),
+                                            t.owner(), t.records()))
+                      .ok());
+    }
+  }
+  auto snap = store::StoreSnapshot::Static(
+      traj::FlatDatabase::FromDatabase(wide), core::BlockingMode::kOff, {});
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   ServeOptions so = EphemeralOptions();
-  so.blocking_mode = core::BlockingMode::kAggressive;
-  so.blocking.cell_size_meters = -1.0;
-  FtlServer server(so, engine_, &data_->cdr_db, &data_->transit_db);
-  EXPECT_EQ(server.Start().code(), StatusCode::kInvalidArgument);
+  so.store_query_threads = 4;
+  FtlServer server(so, engine_, &data_->cdr_db, snap.value());
+  ASSERT_TRUE(server.Start().ok());
+  for (size_t i = 0; i < 4; ++i) {
+    const std::string label = data_->cdr_db[i].label();
+    for (Matcher matcher : {Matcher::kNaiveBayes, Matcher::kAlphaFilter}) {
+      auto direct = engine_->Query(data_->cdr_db[i], wide, matcher);
+      ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+      const bool nb = matcher == Matcher::kNaiveBayes;
+      auto r = HttpRequestOnce("127.0.0.1", server.port(), "POST",
+                               "/v1/query",
+                               "{\"query\":\"" + label + "\",\"matcher\":\"" +
+                                   (nb ? "nb" : "alpha") + "\"}");
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_EQ(r.value().status, 200) << r.value().body;
+      EXPECT_EQ(r.value().body, io::QueryResultToJson(label, direct.value()))
+          << "query " << label << (nb ? " nb" : " alpha");
+    }
+  }
+  server.Shutdown();
+  server.Wait();
 }
 
 TEST_F(ServeTest, RankMatchesQueryWithCandidates) {
-  FtlServer server(EphemeralOptions(), engine_, &data_->cdr_db,
-                   &data_->transit_db);
+  FtlServer server(EphemeralOptions(), engine_, &data_->cdr_db, StaticQ());
   ASSERT_TRUE(server.Start().ok());
 
   const std::string query = data_->cdr_db[0].label();
@@ -347,7 +383,7 @@ TEST_F(ServeTest, FullQueueRejectsWith503WithoutDeadlock) {
   ServeOptions so = EphemeralOptions();
   so.num_threads = 1;
   so.max_queue = 1;
-  FtlServer server(so, engine_, &data_->cdr_db, &data_->transit_db);
+  FtlServer server(so, engine_, &data_->cdr_db, StaticQ());
   ASSERT_TRUE(server.Start().ok());
   int port = server.port();
 
@@ -404,8 +440,7 @@ TEST_F(ServeTest, FullQueueRejectsWith503WithoutDeadlock) {
 // result it carries is the full run truncated to the evaluated prefix
 // (same contract as the engine-level deadline tests).
 TEST_F(ServeTest, DeadlineExceededReturns408WithPrefixPartial) {
-  FtlServer server(EphemeralOptions(), engine_, &data_->cdr_db,
-                   &data_->transit_db);
+  FtlServer server(EphemeralOptions(), engine_, &data_->cdr_db, StaticQ());
   ASSERT_TRUE(server.Start().ok());
 
   const std::string label = data_->cdr_db[0].label();
@@ -452,7 +487,7 @@ TEST_F(ServeTest, DeadlineExceededReturns408WithPrefixPartial) {
 TEST_F(ServeTest, ServerDefaultDeadlineApplies) {
   ServeOptions so = EphemeralOptions();
   so.request_deadline_ms = 20;
-  FtlServer server(so, engine_, &data_->cdr_db, &data_->transit_db);
+  FtlServer server(so, engine_, &data_->cdr_db, StaticQ());
   ASSERT_TRUE(server.Start().ok());
 
   failpoint::Arm("core.query.candidate", {failpoint::Action::kDelay, 5});
@@ -471,7 +506,7 @@ TEST_F(ServeTest, ServerDefaultDeadlineApplies) {
 TEST_F(ServeTest, RankAppliesServerDefaultDeadline) {
   ServeOptions so = EphemeralOptions();
   so.request_deadline_ms = 20;
-  FtlServer server(so, engine_, &data_->cdr_db, &data_->transit_db);
+  FtlServer server(so, engine_, &data_->cdr_db, StaticQ());
   ASSERT_TRUE(server.Start().ok());
 
   const std::string label = data_->cdr_db[0].label();
@@ -493,8 +528,7 @@ TEST_F(ServeTest, RankAppliesServerDefaultDeadline) {
 }
 
 TEST_F(ServeTest, MetricsEndpointExposesServeCounters) {
-  FtlServer server(EphemeralOptions(), engine_, &data_->cdr_db,
-                   &data_->transit_db);
+  FtlServer server(EphemeralOptions(), engine_, &data_->cdr_db, StaticQ());
   ASSERT_TRUE(server.Start().ok());
   int port = server.port();
 
@@ -521,8 +555,7 @@ TEST_F(ServeTest, MetricsEndpointExposesServeCounters) {
 }
 
 TEST_F(ServeTest, AdminShutdownDrains) {
-  FtlServer server(EphemeralOptions(), engine_, &data_->cdr_db,
-                   &data_->transit_db);
+  FtlServer server(EphemeralOptions(), engine_, &data_->cdr_db, StaticQ());
   ASSERT_TRUE(server.Start().ok());
   int port = server.port();
 
@@ -544,7 +577,7 @@ TEST_F(ServeTest, AdminShutdownDrains) {
 TEST_F(ServeTest, ShutdownDrainsInFlightRequests) {
   ServeOptions so = EphemeralOptions();
   so.num_threads = 2;
-  FtlServer server(so, engine_, &data_->cdr_db, &data_->transit_db);
+  FtlServer server(so, engine_, &data_->cdr_db, StaticQ());
   ASSERT_TRUE(server.Start().ok());
   int port = server.port();
 
@@ -577,7 +610,7 @@ TEST_F(ServeTest, SigtermTriggersGracefulDrain) {
   ServeOptions so = EphemeralOptions();
   so.stop_flag = &stop_flag;
   so.poll_interval_ms = 10;
-  FtlServer server(so, engine_, &data_->cdr_db, &data_->transit_db);
+  FtlServer server(so, engine_, &data_->cdr_db, StaticQ());
   ASSERT_TRUE(server.Start().ok());
   int port = server.port();
 

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <utility>
@@ -851,6 +852,99 @@ TEST_F(StoreQueryTest, BlockedIndicesSurviveRecovery) {
   }
 }
 
+// A static Q is one snapshot segment. Its Query must equal probing
+// that segment's index and scoring the survivors with the engine, for
+// every blocking mode and thread count; off and guaranteed must also
+// equal exhaustive engine.Query in everything but the scored-candidate
+// count `evaluated`. Q is 16 time-shifted copies of the
+// merged database, so blocking prunes and 4 threads cut each query
+// into several work units.
+TEST_F(StoreQueryTest, StaticSnapshotMatchesProbeThenScore) {
+  traj::TrajectoryDatabase wide("wide");
+  for (int copy = 0; copy < 16; ++copy) {
+    for (const traj::Trajectory& t : merged_) {
+      std::vector<traj::Record> records = t.records();
+      for (traj::Record& r : records) r.t += copy * 2 * 86400;
+      ASSERT_TRUE(wide.Add(traj::Trajectory("c" + std::to_string(copy) +
+                                                "-" + t.label(),
+                                            t.owner(), std::move(records)))
+                      .ok());
+    }
+  }
+  const traj::FlatDatabase flat = traj::FlatDatabase::FromDatabase(wide);
+  const core::BlockingIndex index(flat, {});
+  std::vector<size_t> all(flat.size());
+  std::iota(all.begin(), all.end(), size_t{0});
+  core::BlockingScratch scratch;
+  size_t pruned = 0;
+  for (core::BlockingMode mode :
+       {core::BlockingMode::kOff, core::BlockingMode::kGuaranteed,
+        core::BlockingMode::kAggressive}) {
+    auto snap = store::StoreSnapshot::Static(flat, mode, {});
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    for (core::Matcher matcher :
+         {core::Matcher::kNaiveBayes, core::Matcher::kAlphaFilter}) {
+      for (const traj::Trajectory& q : p_) {
+        traj::TrajectoryDatabase one;
+        ASSERT_TRUE(one.Add(q).ok());
+        const traj::FlatDatabase qflat = traj::FlatDatabase::FromDatabase(one);
+        std::vector<size_t> survivors = all;
+        if (mode == core::BlockingMode::kGuaranteed) {
+          index.GuaranteedCandidates(
+              qflat[0], engine_->DeriveBlockingGuarantee(matcher), &scratch,
+              &survivors);
+        } else if (mode == core::BlockingMode::kAggressive) {
+          index.Candidates(qflat[0], &scratch, &survivors);
+        }
+        pruned += flat.size() - survivors.size();
+        auto want =
+            engine_->QueryWithCandidates(qflat[0], flat, survivors, matcher);
+        ASSERT_TRUE(want.ok()) << want.status().ToString();
+        const std::string want_json =
+            io::QueryResultToJson(q.label(), want.value());
+        const std::string where =
+            q.label() + " mode " + core::BlockingModeName(mode) +
+            (matcher == core::Matcher::kNaiveBayes ? " nb" : " alpha");
+        if (mode != core::BlockingMode::kAggressive) {
+          auto exhaustive = engine_->Query(qflat[0], flat, matcher);
+          ASSERT_TRUE(exhaustive.ok());
+          // Blocking changes only how many candidates were scored.
+          core::QueryResult ex = std::move(exhaustive).value();
+          ex.evaluated = want.value().evaluated;
+          EXPECT_EQ(io::QueryResultToJson(q.label(), ex), want_json) << where;
+        }
+        for (size_t threads : {size_t{1}, size_t{4}}) {
+          auto got = snap.value()->Query(*engine_, q, matcher, nullptr,
+                                         threads);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          EXPECT_EQ(io::QueryResultToJson(q.label(), got.value()), want_json)
+              << where << " threads " << threads;
+        }
+      }
+    }
+  }
+  EXPECT_GT(pruned, 0u);
+}
+
+TEST(StoreTest, StaticSnapshotRejectsInvalidBlockingOptions) {
+  traj::TrajectoryDatabase q;
+  ASSERT_TRUE(
+      q.Add(traj::Trajectory("a", 1, {traj::Record{{0.0, 0.0}, 0}})).ok());
+  const traj::FlatDatabase flat = traj::FlatDatabase::FromDatabase(q);
+  core::BlockingOptions bad;
+  bad.cell_size_meters = -1.0;
+  for (core::BlockingMode mode :
+       {core::BlockingMode::kGuaranteed, core::BlockingMode::kAggressive}) {
+    EXPECT_EQ(store::StoreSnapshot::Static(flat, mode, bad).status().code(),
+              StatusCode::kInvalidArgument)
+        << core::BlockingModeName(mode);
+  }
+  // With blocking off no index is built, so the options are not read.
+  auto off = store::StoreSnapshot::Static(flat, core::BlockingMode::kOff, bad);
+  ASSERT_TRUE(off.ok()) << off.status().ToString();
+  EXPECT_EQ(off.value()->size(), 1u);
+}
+
 TEST_F(StoreQueryTest, RankMatchesMergedDatabaseSubset) {
   auto snap = store_->Snapshot();
   std::vector<std::string> labels;
@@ -1188,7 +1282,10 @@ OutcomeCounts ReadOutcomeCounts() {
 }
 
 TEST_F(StoreQueryTest, CandidateOutcomesPartitionEveryPath) {
-  const core::BlockingIndex index(merged_, {});
+  auto guaranteed = store::StoreSnapshot::Static(
+      traj::FlatDatabase::FromDatabase(merged_),
+      core::BlockingMode::kGuaranteed, {});
+  ASSERT_TRUE(guaranteed.ok()) << guaranteed.status().ToString();
   auto snap = store_->Snapshot();
   // The served paths pass an inert QueryOptions rather than none.
   const core::QueryOptions inert;
@@ -1207,10 +1304,9 @@ TEST_F(StoreQueryTest, CandidateOutcomesPartitionEveryPath) {
        [&](const traj::Trajectory& q, core::Matcher m) {
          return engine_->Query(q, merged_, m, 4);
        }},
-      {"guaranteed blocking",
+      {"guaranteed static snapshot",
        [&](const traj::Trajectory& q, core::Matcher m) {
-         return engine_->QueryBlocked(q, merged_, index,
-                                      core::BlockingMode::kGuaranteed, m);
+         return guaranteed.value()->Query(*engine_, q, m, nullptr);
        }},
       {"store snapshot",
        [&](const traj::Trajectory& q, core::Matcher m) {

@@ -155,9 +155,10 @@ std::string UsageText() {
       "                              set, defaults to hardware threads /\n"
       "                              query threads to keep the product\n"
       "                              within the machine)\n"
-      "    --query-threads N         store mode: shard each query's\n"
-      "                              segment walk over N threads; results\n"
-      "                              stay byte-identical (default 1)\n"
+      "    --query-threads N         shard each query's snapshot walk\n"
+      "                              over N threads (static shards or\n"
+      "                              --store); results stay\n"
+      "                              byte-identical (default 1)\n"
       "    --max-queue N             bounded request queue; beyond it new\n"
       "                              requests get 503 + Retry-After\n"
       "                              (default 128)\n"
@@ -520,15 +521,12 @@ Status CmdLink(const ArgMap& args, std::ostream& out) {
 
   core::FtlEngine engine(eo.value());
   FTL_RETURN_NOT_OK(engine.Train(p.value(), q.value()));
-
-  // Candidate generation: build the index over Q once, reuse the
-  // scratch across queries (DESIGN.md §13).
-  std::unique_ptr<const core::BlockingIndex> blocking_index;
-  core::BlockingScratch blocking_scratch;
-  if (blocking_mode != core::BlockingMode::kOff) {
-    blocking_index = std::make_unique<const core::BlockingIndex>(
-        q.value(), blocking_opts);
-  }
+  // Q becomes a one-segment snapshot, scored exactly as `ftl serve`
+  // scores it (DESIGN.md §11); it carries Q's blocking index.
+  auto snap = store::StoreSnapshot::Static(
+      traj::FlatDatabase::FromDatabase(q.value()), blocking_mode,
+      blocking_opts);
+  if (!snap.ok()) return snap.status();
 
   std::vector<size_t> query_indices;
   if (args.Has("query")) {
@@ -544,16 +542,13 @@ Status CmdLink(const ArgMap& args, std::ostream& out) {
 
   for (size_t qi : query_indices) {
     const auto& query = p.value()[qi];
-    auto result = blocking_index != nullptr
-                      ? engine.QueryBlocked(query, q.value(), *blocking_index,
-                                            blocking_mode, matcher.value(),
-                                            &blocking_scratch)
-                      : engine.Query(query, q.value(), matcher.value());
+    auto result = snap.value()->Query(engine, query, matcher.value(), nullptr,
+                                      eo.value().num_threads);
     if (!result.ok()) return result.status();
     if (args.Has("json")) {
       // One JSON document per query, byte-identical to what the serve
       // daemon's /v1/query endpoint returns for the same inputs (both
-      // call the same engine entry point and serializer).
+      // call the same snapshot entry point and serializer).
       out << io::QueryResultToJson(query.label(), result.value()) << "\n";
       continue;
     }
@@ -791,9 +786,6 @@ Status CmdServe(const ArgMap& args, std::ostream& out) {
   if (qthreads.value() < 1) {
     return Status::InvalidArgument("--query-threads must be at least 1");
   }
-  if (qthreads.value() > 1 && store_dir.empty()) {
-    return Status::InvalidArgument("--query-threads requires --store");
-  }
   so.store_query_threads = static_cast<size_t>(qthreads.value());
   if (!args.Has("threads") && so.store_query_threads > 1) {
     // Keep workers x query-threads within the machine when --threads is
@@ -806,10 +798,11 @@ Status CmdServe(const ArgMap& args, std::ostream& out) {
   auto matcher = MatcherFromArgs(args);
   if (!matcher.ok()) return matcher.status();
   so.default_matcher = matcher.value();
-  // Engine mode applies --blocking via the server's index over the
-  // static Q; store mode applies it via StoreOptionsFromArgs below
-  // (per-segment indices inside the snapshots).
-  FTL_RETURN_NOT_OK(BlockingFromArgs(args, &so.blocking_mode, &so.blocking));
+  // A static Q takes --blocking into its one-segment snapshot; store
+  // mode takes it via StoreOptionsFromArgs below (per-segment indices).
+  core::BlockingMode blocking_mode = core::BlockingMode::kOff;
+  core::BlockingOptions blocking_opts;
+  FTL_RETURN_NOT_OK(BlockingFromArgs(args, &blocking_mode, &blocking_opts));
 
   core::FtlEngine engine(engine_opts);
 
@@ -870,10 +863,14 @@ Status CmdServe(const ArgMap& args, std::ostream& out) {
   }
 
   FTL_RETURN_NOT_OK(engine.Train(p.value(), q));
-  serve::FtlServer server(so, &engine, &p.value(), &q);
+  auto snap = store::StoreSnapshot::Static(traj::FlatDatabase::FromDatabase(q),
+                                           blocking_mode, blocking_opts);
+  if (!snap.ok()) return snap.status();
+  q = traj::TrajectoryDatabase();  // the snapshot holds Q from here on
+  serve::FtlServer server(so, &engine, &p.value(), snap.value());
   FTL_RETURN_NOT_OK(server.Start());
-  out << "serving |P|=" << p.value().size() << " |Q|=" << q.size() << " on "
-      << so.host << ":" << server.port() << " (workers="
+  out << "serving |P|=" << p.value().size() << " |Q|=" << snap.value()->size()
+      << " on " << so.host << ":" << server.port() << " (workers="
       << (so.num_threads == 0 ? std::thread::hardware_concurrency()
                               : so.num_threads)
       << ", max-queue=" << so.max_queue << ", request-deadline-ms="
