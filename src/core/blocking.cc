@@ -252,8 +252,8 @@ Status BlockingOptions::Validate() const {
 }
 
 BlockingIndex::BlockingIndex(const traj::FlatDatabase& db,
-                             const BlockingOptions& options)
-    : options_(options) {
+                             const BlockingOptions& options, BlockingMode mode)
+    : options_(options), mode_(mode) {
   Stopwatch sw;
   // Clamp invalid knobs to safe defaults (callers that must reject
   // instead run BlockingOptions::Validate() first).
@@ -267,31 +267,43 @@ BlockingIndex::BlockingIndex(const traj::FlatDatabase& db,
 
   const size_t n = db.size();
   num_candidates_ = n;
-  spans_.assign(n, {1, 0});  // (1, 0): empty span, never overlaps
 
-  // Each list is emitted in candidate order into `rows`, then
-  // radix-sorted on its key and flattened; `rows` and `spare` are
-  // reused from list to list. Occupancy and cells emit at most one row
-  // per record and span one per covered bucket, so the exact spans,
-  // taken first, size both buffers once for the longest list.
+  // Only what this mode's probe reads: guaranteed reads occupancy;
+  // aggressive reads the exact spans when use_temporal is set, plus the
+  // cell lists when the spatial filter is on, else the span lists.
+  const bool aggressive = mode_ == BlockingMode::kAggressive;
+  const bool build_occupancy = mode_ == BlockingMode::kGuaranteed;
+  const bool build_cells = aggressive && options_.use_spatial &&
+                           options_.min_shared_cells > 0;
+  const bool build_spans = aggressive && options_.use_temporal;
+  const bool build_span_lists = build_spans && !build_cells;
+
+  // A mode builds at most one list. It is emitted in candidate order
+  // into `rows`, then radix-sorted on its key and flattened. Occupancy
+  // and cells emit at most one row per record and span one per covered
+  // bucket, so the record count, or the exact spans taken first, size
+  // `rows` and its `spare` once.
   const int64_t bucket = options_.time_bucket_seconds;
   auto span_width = [bucket](std::pair<int64_t, int64_t> span) {
     return static_cast<uint64_t>(FloorDiv(span.second, bucket)) -
            static_cast<uint64_t>(FloorDiv(span.first, bucket));
   };
-  size_t records = 0, span_rows = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (db[i].empty()) continue;
-    records += db[i].size();
-    spans_[i] = TimeSpan(db[i]);
-    const uint64_t width = span_width(spans_[i]);
-    if (options_.use_temporal && width < kMaxSpanBuckets) {
-      span_rows += width + 1;
+  size_t span_rows = 0;
+  if (build_spans) {
+    spans_.assign(n, {1, 0});  // (1, 0): empty span, never overlaps
+    for (size_t i = 0; i < n; ++i) {
+      if (db[i].empty()) continue;
+      spans_[i] = TimeSpan(db[i]);
+      const uint64_t width = span_width(spans_[i]);
+      if (width < kMaxSpanBuckets) span_rows += width + 1;
     }
   }
+  size_t max_rows = 0;
+  if (build_occupancy || build_cells) max_rows = db.TotalRecords();
+  if (build_span_lists) max_rows = span_rows;
   PageVector<PostingRow> rows, spare;
-  rows.reserve(std::max(records, span_rows));
-  spare.reserve(rows.capacity());
+  rows.reserve(max_rows);
+  spare.reserve(max_rows);
   // Rows that repeat a (key, candidate) pair are adjacent after the
   // stable sort: runs of one candidate's bucket or cell that
   // out-of-order records or revisits split. They merge into one
@@ -325,29 +337,31 @@ BlockingIndex::BlockingIndex(const traj::FlatDatabase& db,
 
   // Occupancy: one row per run of records in one bucket, so in-order
   // records need no per-candidate sort.
-  for (size_t i = 0; i < n; ++i) {
-    const auto& t = db[i];
-    if (t.empty()) continue;
-    const uint32_t cand = static_cast<uint32_t>(i);
-    int64_t run_bucket = FloorDiv(t[0].t, bucket);
-    uint32_t run = 0;
-    for (size_t j = 0; j < t.size(); ++j) {
-      const int64_t b = FloorDiv(t[j].t, bucket);
-      if (b != run_bucket) {
-        rows.push_back({run_bucket, cand, run});
-        run_bucket = b;
-        run = 0;
+  if (build_occupancy) {
+    for (size_t i = 0; i < n; ++i) {
+      const auto& t = db[i];
+      if (t.empty()) continue;
+      const uint32_t cand = static_cast<uint32_t>(i);
+      int64_t run_bucket = FloorDiv(t[0].t, bucket);
+      uint32_t run = 0;
+      for (size_t j = 0; j < t.size(); ++j) {
+        const int64_t b = FloorDiv(t[j].t, bucket);
+        if (b != run_bucket) {
+          rows.push_back({run_bucket, cand, run});
+          run_bucket = b;
+          run = 0;
+        }
+        ++run;
       }
-      ++run;
+      rows.push_back({run_bucket, cand, run});
     }
-    rows.push_back({run_bucket, cand, run});
+    flatten(&occupancy_, /*keep_weight=*/true);
   }
-  flatten(&occupancy_, /*keep_weight=*/true);
 
   // Span coverage: every bucket in [bucket(lo), bucket(hi)], unless
   // the span is so long it would bloat the lists. The width is
   // unsigned: an int64 span can cover more than INT64_MAX buckets.
-  if (options_.use_temporal) {
+  if (build_span_lists) {
     for (size_t i = 0; i < n; ++i) {
       const auto [lo, hi] = spans_[i];
       if (lo > hi) continue;
@@ -362,11 +376,11 @@ BlockingIndex::BlockingIndex(const traj::FlatDatabase& db,
         rows.push_back({b0 + static_cast<int64_t>(k), cand, 1});
       }
     }
+    flatten(&span_, /*keep_weight=*/false);
   }
-  flatten(&span_, /*keep_weight=*/false);
 
   // Spatial cells: one row per run of records in one cell.
-  if (options_.use_spatial) {
+  if (build_cells) {
     const double cell = options_.cell_size_meters;
     for (size_t i = 0; i < n; ++i) {
       const auto& t = db[i];
@@ -378,8 +392,8 @@ BlockingIndex::BlockingIndex(const traj::FlatDatabase& db,
         if (j == 0 || c != rows.back().key) rows.push_back({c, cand, 1});
       }
     }
+    flatten(&cells_, /*keep_weight=*/false);
   }
-  flatten(&cells_, /*keep_weight=*/false);
 
   build_micros_ = static_cast<int64_t>(sw.ElapsedSeconds() * 1e6);
   Metrics().builds->Add(1);
@@ -437,13 +451,15 @@ void BlockingIndex::Candidates(const traj::FlatTrajectoryView& query,
                                BlockingScratch* scratch,
                                std::vector<size_t>* out) const {
   out->clear();
-  if (query.empty()) {
+  const bool built = mode_ == BlockingMode::kAggressive;
+  if (built && query.empty()) {
     RecordQuery(/*guaranteed=*/false, 0, num_candidates_);
     return;
   }
   const bool spatial = options_.use_spatial && options_.min_shared_cells > 0;
   const bool temporal = options_.use_temporal;
-  if (!spatial && !temporal) {  // no blockers: identity
+  if (!built || (!spatial && !temporal)) {
+    // Not built for this probe, or no blockers: identity.
     out->resize(num_candidates_);
     std::iota(out->begin(), out->end(), size_t{0});
     RecordQuery(false, out->size(), num_candidates_);
@@ -494,8 +510,9 @@ void BlockingIndex::GuaranteedCandidates(
     const traj::FlatTrajectoryView& query, const BlockingGuarantee& guarantee,
     BlockingScratch* scratch, std::vector<size_t>* out) const {
   out->clear();
-  if (guarantee.min_segments == 0) {
-    // The accept criterion needs no evidence; nothing can be pruned.
+  if (mode_ != BlockingMode::kGuaranteed || guarantee.min_segments == 0) {
+    // Not built for this probe, or the accept criterion needs no
+    // evidence: nothing can be pruned.
     out->resize(num_candidates_);
     std::iota(out->begin(), out->end(), size_t{0});
     RecordQuery(/*guaranteed=*/true, out->size(), num_candidates_);

@@ -11,10 +11,11 @@
 /// cannot plausibly match, then run the expensive classifier on the
 /// survivors.
 ///
-/// The index is built once per candidate database and answers each
-/// query in time proportional to the query's spatiotemporal footprint
-/// plus the result size — it never scans the candidate list. Three
-/// structures, all CSR-flattened inverted lists:
+/// The index is built once per candidate database, for one mode, and
+/// answers each query in time proportional to the query's
+/// spatiotemporal footprint plus the result size — it never scans the
+/// candidate list. Three structures, all CSR-flattened inverted lists,
+/// of which a build keeps only those its mode probes:
 ///
 ///  * **time-bucket occupancy** — per coarse epoch bucket, the
 ///    candidates with ≥1 record in the bucket and their record counts.
@@ -136,14 +137,20 @@ struct BlockingScratch {
 class BlockingIndex {
  public:
   /// Builds the index by streaming the timestamp/x/y columns of `db`
-  /// (e.g. an mmap'd FTB segment). Invalid options are clamped (see
+  /// (e.g. an mmap'd FTB segment). Only the lists `mode`'s probe reads
+  /// are built: kGuaranteed the occupancy lists; kAggressive the exact
+  /// spans plus the cell lists when the spatial filter is on
+  /// (use_spatial and min_shared_cells > 0), else the span lists when
+  /// use_temporal is set; kOff none. Invalid options are clamped (see
   /// BlockingOptions::Validate). Candidate spans are computed as true
   /// min/max over records, so inputs that violate the sorted-trajectory
   /// invariant still index correctly.
-  BlockingIndex(const traj::FlatDatabase& db, const BlockingOptions& options);
+  BlockingIndex(const traj::FlatDatabase& db, const BlockingOptions& options,
+                BlockingMode mode = BlockingMode::kGuaranteed);
 
   /// Aggressive mode: indices of candidates surviving all enabled
-  /// blockers, ascending.
+  /// blockers, ascending. Every candidate when the index was not built
+  /// for kAggressive.
   void Candidates(const traj::FlatTrajectoryView& query,
                   BlockingScratch* scratch, std::vector<size_t>* out) const;
 
@@ -155,7 +162,8 @@ class BlockingIndex {
   /// exhaustive scoring. Ignores use_temporal/use_spatial: the filter
   /// is purely temporal (an informative segment already tolerates
   /// vmax·horizon of travel — tens of kilometres at defaults — so no
-  /// spatial test can be both useful and safe; DESIGN.md §13).
+  /// spatial test can be both useful and safe; DESIGN.md §13). Every
+  /// candidate when the index was not built for kGuaranteed.
   void GuaranteedCandidates(const traj::FlatTrajectoryView& query,
                             const BlockingGuarantee& guarantee,
                             BlockingScratch* scratch,
@@ -169,6 +177,9 @@ class BlockingIndex {
   int64_t build_micros() const { return build_micros_; }
 
   const BlockingOptions& options() const { return options_; }
+
+  /// The mode the index was built for.
+  BlockingMode mode() const { return mode_; }
 
  private:
   /// One CSR-flattened inverted index: sorted unique keys (cell ids or
@@ -199,9 +210,11 @@ class BlockingIndex {
 
   size_t num_candidates_ = 0;
   BlockingOptions options_;
+  BlockingMode mode_;
   int64_t build_micros_ = 0;
 
   /// Exact [min t, max t] per candidate; (1, 0) for empty candidates.
+  /// Built only for an aggressive index with use_temporal set.
   std::vector<std::pair<int64_t, int64_t>> spans_;
 
   PostingLists occupancy_;  ///< bucket -> (candidate, record count)

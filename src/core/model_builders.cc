@@ -1,8 +1,12 @@
 #include "core/model_builders.h"
 
 #include <algorithm>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "traj/alignment.h"
+#include "util/thread_pool.h"
 
 namespace ftl::core {
 
@@ -25,6 +29,14 @@ class BucketAccumulator {
     size_t u = static_cast<size_t>(unit);
     ++total_[u];
     if (!traj::IsCompatible(a, b, options_.vmax_mps)) ++incompat_[u];
+  }
+
+  /// Adds another accumulator's counts (same options).
+  void Merge(const BucketAccumulator& other) {
+    for (size_t u = 0; u < total_.size(); ++u) {
+      incompat_[u] += other.incompat_[u];
+      total_[u] += other.total_[u];
+    }
   }
 
   size_t observations() const {
@@ -117,14 +129,38 @@ Status ValidateOptions(const ModelTrainingOptions& options) {
   return Status::OK();
 }
 
+/// Runs visit(k, partial) for every k in [0, n) over every hardware
+/// thread, as Store::Recover does; each worker counts into its own
+/// accumulator, and the partial counts are then summed into `acc`.
+/// Every count is an integer, so the sum, and the model Finalize makes
+/// of it, is the same for any thread count or chunking. The partial
+/// accumulators are allocated and freed on the calling thread, so no
+/// worker's malloc arena keeps them (DESIGN.md §12).
+template <typename Visit>
+void AccumulateParallel(size_t n, const ModelTrainingOptions& options,
+                        BucketAccumulator* acc, const Visit& visit) {
+  const size_t threads = std::max(1u, std::thread::hardware_concurrency());
+  std::vector<BucketAccumulator> partial(ParallelWorkerCount(n, threads),
+                                         BucketAccumulator(options));
+  ParallelForWorkers(n, threads,
+                     [&](size_t worker, size_t begin, size_t end) {
+                       for (size_t k = begin; k < end; ++k) {
+                         visit(k, &partial[worker]);
+                       }
+                     });
+  for (const BucketAccumulator& p : partial) acc->Merge(p);
+}
+
 void AccumulateSelfSegments(const traj::TrajectoryDatabase& db,
+                            const ModelTrainingOptions& options,
                             BucketAccumulator* acc) {
-  for (const auto& t : db) {
-    const auto& recs = t.records();
-    for (size_t i = 1; i < recs.size(); ++i) {
-      acc->AddSegment(recs[i - 1], recs[i]);
-    }
-  }
+  AccumulateParallel(db.size(), options, acc,
+                     [&db](size_t k, BucketAccumulator* out) {
+                       const auto& recs = db[k].records();
+                       for (size_t i = 1; i < recs.size(); ++i) {
+                         out->AddSegment(recs[i - 1], recs[i]);
+                       }
+                     });
 }
 
 void AccumulateDifferentPersonPairs(const traj::TrajectoryDatabase& db,
@@ -132,6 +168,10 @@ void AccumulateDifferentPersonPairs(const traj::TrajectoryDatabase& db,
                                     Rng* rng, BucketAccumulator* acc) {
   size_t n = db.size();
   if (n < 2) return;
+  // The pairs are drawn serially from the one Rng, so the sample does
+  // not depend on the thread count; only their walks run in parallel.
+  std::vector<std::pair<size_t, size_t>> pairs;
+  pairs.reserve(options.acceptance_pairs_per_db);
   for (size_t k = 0; k < options.acceptance_pairs_per_db; ++k) {
     size_t i = rng->Index(n);
     size_t j = rng->Index(n - 1);
@@ -143,11 +183,16 @@ void AccumulateDifferentPersonPairs(const traj::TrajectoryDatabase& db,
         db[i].owner() == db[j].owner()) {
       continue;
     }
-    traj::VisitMutualSegments(
-        db[i], db[j], [acc](const traj::Segment& s) {
-          acc->AddSegment(s.first, s.second);
-        });
+    pairs.emplace_back(i, j);
   }
+  AccumulateParallel(pairs.size(), options, acc,
+                     [&db, &pairs](size_t k, BucketAccumulator* out) {
+                       traj::VisitMutualSegments(
+                           db[pairs[k].first], db[pairs[k].second],
+                           [out](const traj::Segment& s) {
+                             out->AddSegment(s.first, s.second);
+                           });
+                     });
 }
 
 }  // namespace
@@ -157,8 +202,8 @@ Result<CompatibilityModel> BuildRejectionModel(
     const ModelTrainingOptions& options) {
   FTL_RETURN_NOT_OK(ValidateOptions(options));
   BucketAccumulator acc(options);
-  AccumulateSelfSegments(p, &acc);
-  AccumulateSelfSegments(q, &acc);
+  AccumulateSelfSegments(p, options, &acc);
+  AccumulateSelfSegments(q, options, &acc);
   if (acc.observations() == 0) {
     return Status::FailedPrecondition(
         "rejection model: no segments within the horizon; databases too "

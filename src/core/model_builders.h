@@ -46,7 +46,9 @@ struct ModelTrainingOptions {
 /// Builds the rejection model M̂r (Algorithm 1): every *self*-segment of
 /// every individual trajectory in P ∪ Q is treated as a mutual segment of
 /// a same-person alignment, and per-bucket incompatibility frequencies
-/// are tabulated.
+/// are tabulated. Both builders walk their segments on every hardware
+/// thread and sum integer counts, so the model is bit-identical for any
+/// thread count.
 Result<CompatibilityModel> BuildRejectionModel(
     const traj::TrajectoryDatabase& p, const traj::TrajectoryDatabase& q,
     const ModelTrainingOptions& options);

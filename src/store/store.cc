@@ -226,7 +226,8 @@ Result<std::shared_ptr<const StoreSnapshot>> StoreSnapshot::Static(
   std::vector<std::shared_ptr<const core::BlockingIndex>> indices;
   if (mode != core::BlockingMode::kOff) {
     FTL_RETURN_NOT_OK(blocking.Validate());
-    indices.push_back(std::make_shared<const core::BlockingIndex>(q, blocking));
+    indices.push_back(
+        std::make_shared<const core::BlockingIndex>(q, blocking, mode));
   }
   MutableSegment no_memtable;
   return Build({std::make_shared<const traj::FlatDatabase>(std::move(q))},
@@ -585,7 +586,7 @@ Status Store::RecoverLocked(RecoveryInfo* info) {
                     std::move(r).value());
                 if (options_.blocking_mode != core::BlockingMode::kOff) {
                   indices[i] = std::make_shared<const core::BlockingIndex>(
-                      *loaded[i], options_.blocking);
+                      *loaded[i], options_.blocking, options_.blocking_mode);
                 }
               });
   for (const Status& st : failed) FTL_RETURN_NOT_OK(st);
@@ -807,7 +808,7 @@ Status Store::FlushLocked() {
       std::make_shared<traj::FlatDatabase>(std::move(reread).value()));
   if (options_.blocking_mode != core::BlockingMode::kOff) {
     segment_indices_.push_back(std::make_shared<const core::BlockingIndex>(
-        *segments_.back(), options_.blocking));
+        *segments_.back(), options_.blocking, options_.blocking_mode));
   }
   memtable_.Clear();
   manifest_ = std::move(next);
@@ -934,7 +935,7 @@ Result<CompactionStats> Store::CompactOnce(bool force) {
   std::shared_ptr<const core::BlockingIndex> seg_index;
   if (options_.blocking_mode != core::BlockingMode::kOff) {
     seg_index = std::make_shared<const core::BlockingIndex>(
-        *seg_db, options_.blocking);
+        *seg_db, options_.blocking, options_.blocking_mode);
   }
 
   // Phase 3 (locked): commit. Rename the output into place, swap a

@@ -83,10 +83,11 @@ struct StoreOptions {
   size_t compact_max_segments = 8;
 
   /// Candidate generation for snapshot queries (`--blocking`). When
-  /// not kOff, every immutable segment gets a BlockingIndex built at
-  /// flush/recovery time and snapshot queries score only the segment
-  /// survivors (kGuaranteed preserves accept sets byte-identically;
-  /// kAggressive applies the heuristic span/co-visitation blockers).
+  /// not kOff, every immutable segment gets a BlockingIndex holding
+  /// that mode's lists, built at flush/recovery/compaction time, and
+  /// snapshot queries score only the segment survivors (kGuaranteed
+  /// preserves accept sets byte-identically; kAggressive applies the
+  /// heuristic span/co-visitation blockers).
   /// The memtable and the cross-segment overlay are always scored
   /// exhaustively — they are small and churn too fast to index.
   core::BlockingMode blocking_mode = core::BlockingMode::kOff;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <random>
 #include <set>
 #include <string>
@@ -77,7 +78,7 @@ TEST(BlockingTest, TemporalDisjointPruned) {
   (void)db.Add(T("late", 2, {R(0, 0, 100000), R(0, 0, 100100)}));
   BlockingOptions o = NoSlack();
   o.use_spatial = false;
-  BlockingIndex index(Flat(db), o);
+  BlockingIndex index(Flat(db), o, BlockingMode::kAggressive);
   Trajectory query = T("q", 9, {R(0, 0, 50), R(0, 0, 80)});
   auto cands = Candidates(index, query);
   ASSERT_EQ(cands.size(), 1u);
@@ -90,9 +91,9 @@ TEST(BlockingTest, TemporalSlackExtendsWindow) {
   BlockingOptions o;
   o.use_spatial = false;
   o.temporal_slack_seconds = 0;
-  BlockingIndex tight(Flat(db), o);
+  BlockingIndex tight(Flat(db), o, BlockingMode::kAggressive);
   o.temporal_slack_seconds = 5000;
-  BlockingIndex loose(Flat(db), o);
+  BlockingIndex loose(Flat(db), o, BlockingMode::kAggressive);
   Trajectory query = T("q", 9, {R(0, 0, 0), R(0, 0, 100)});
   EXPECT_TRUE(Candidates(tight, query).empty());
   EXPECT_EQ(Candidates(loose, query).size(), 1u);
@@ -106,7 +107,7 @@ TEST(BlockingTest, SpatialSharedCellRequired) {
   o.use_temporal = false;
   o.cell_size_meters = 1000.0;
   o.neighborhood = 1;
-  BlockingIndex index(Flat(db), o);
+  BlockingIndex index(Flat(db), o, BlockingMode::kAggressive);
   Trajectory query = T("q", 9, {R(150, 150, 25)});
   auto cands = Candidates(index, query);
   ASSERT_EQ(cands.size(), 1u);
@@ -121,9 +122,9 @@ TEST(BlockingTest, NeighborhoodAbsorbsCellBoundary) {
   o.use_temporal = false;
   o.cell_size_meters = 1000.0;
   o.neighborhood = 0;
-  BlockingIndex strict(Flat(db), o);
+  BlockingIndex strict(Flat(db), o, BlockingMode::kAggressive);
   o.neighborhood = 1;
-  BlockingIndex relaxed(Flat(db), o);
+  BlockingIndex relaxed(Flat(db), o, BlockingMode::kAggressive);
   Trajectory query = T("q", 9, {R(999, 0, 0)});
   EXPECT_TRUE(Candidates(strict, query).empty());
   EXPECT_EQ(Candidates(relaxed, query).size(), 1u);
@@ -140,7 +141,7 @@ TEST(BlockingTest, MinSharedCellsFilters) {
   o.cell_size_meters = 1000.0;
   o.neighborhood = 0;
   o.min_shared_cells = 2;
-  BlockingIndex index(Flat(db), o);
+  BlockingIndex index(Flat(db), o, BlockingMode::kAggressive);
   Trajectory query = T("q", 9, {R(400, 400, 10), R(5600, 5600, 60)});
   auto cands = Candidates(index, query);
   ASSERT_EQ(cands.size(), 1u);
@@ -150,7 +151,7 @@ TEST(BlockingTest, MinSharedCellsFilters) {
 TEST(BlockingTest, EmptyQueryNoCandidates) {
   TrajectoryDatabase db;
   (void)db.Add(T("a", 1, {R(0, 0, 0)}));
-  BlockingIndex index(Flat(db), {});
+  BlockingIndex index(Flat(db), {}, BlockingMode::kAggressive);
   EXPECT_TRUE(Candidates(index, T("q", 9, {})).empty());
 }
 
@@ -158,7 +159,7 @@ TEST(BlockingTest, EmptyCandidatesNeverReturned) {
   TrajectoryDatabase db;
   (void)db.Add(T("empty", 1, {}));
   (void)db.Add(T("full", 2, {R(0, 0, 0), R(0, 0, 100)}));
-  BlockingIndex index(Flat(db), {});
+  BlockingIndex index(Flat(db), {}, BlockingMode::kAggressive);
   auto cands = Candidates(index, T("q", 9, {R(10, 10, 50)}));
   ASSERT_EQ(cands.size(), 1u);
   EXPECT_EQ(db[cands[0]].label(), "full");
@@ -183,7 +184,7 @@ TEST(BlockingTest, HighRecallOnPopulation) {
   BlockingOptions o;
   o.cell_size_meters = 4000.0;
   o.neighborhood = 1;
-  BlockingIndex index(Flat(data.transit_db), o);
+  BlockingIndex index(Flat(data.transit_db), o, BlockingMode::kAggressive);
 
   size_t kept_true = 0, total = 0, candidate_sum = 0;
   for (const auto& query : data.cdr_db) {
@@ -221,7 +222,7 @@ TEST(BlockingTest, QueryWithCandidatesMatchesFullQueryOnSurvivors) {
   FtlEngine engine(eo);
   ASSERT_TRUE(engine.Train(data.cdr_db, data.transit_db).ok());
 
-  BlockingIndex index(Flat(data.transit_db), {});
+  BlockingIndex index(Flat(data.transit_db), {}, BlockingMode::kAggressive);
   const auto& query = data.cdr_db[3];
   auto survivors = Candidates(index, query);
   auto full = engine.Query(query, data.transit_db, Matcher::kNaiveBayes);
@@ -294,7 +295,7 @@ TEST(BlockingTest, UnsortedInputSpansComputedAsMinMax) {
   BlockingOptions o;
   o.use_spatial = false;
   o.temporal_slack_seconds = 0;
-  BlockingIndex index(db, o);
+  BlockingIndex index(db, o, BlockingMode::kAggressive);
   // Query strictly inside [50, 100000] but far from both endpoints.
   traj::FlatDatabase qdb = FlatFromRows({{"q", {R(0, 0, 40000)}}});
   auto mid = Candidates(index, qdb[0]);
@@ -444,6 +445,8 @@ std::vector<Record> RandomRecords(std::mt19937_64* rng) {
 }
 
 TEST(BlockingTest, MatchesBruteForceReference) {
+  // One index per mode: each answers its own probe like the reference
+  // and every other probe with every candidate.
   std::mt19937_64 rng(20260417);
   BlockingScratch scratch;
   std::vector<size_t> got;
@@ -466,8 +469,14 @@ TEST(BlockingTest, MatchesBruteForceReference) {
     o.temporal_slack_seconds = slacks[rng() % 3];
     o.use_temporal = rng() % 4 != 0;
     o.use_spatial = rng() % 4 != 0;
-    const BlockingIndex soa_index(soa, o);
-    ASSERT_EQ(soa_index.size(), rows.size());
+    const BlockingIndex off(soa, o, BlockingMode::kOff);
+    const BlockingIndex guaranteed(soa, o, BlockingMode::kGuaranteed);
+    const BlockingIndex aggressive(soa, o, BlockingMode::kAggressive);
+    std::vector<size_t> all(rows.size());
+    std::iota(all.begin(), all.end(), size_t{0});
+    for (const BlockingIndex* index : {&off, &guaranteed, &aggressive}) {
+      ASSERT_EQ(index->size(), rows.size());
+    }
 
     for (int qi = 0; qi < 6; ++qi) {
       // Queries are random rows, or a candidate's own records.
@@ -480,16 +489,24 @@ TEST(BlockingTest, MatchesBruteForceReference) {
                    std::to_string(o.time_bucket_seconds));
 
       const std::vector<size_t> want = RefCandidates(rows, q, o);
-      soa_index.Candidates(q_soa[0], &scratch, &got);
+      aggressive.Candidates(q_soa[0], &scratch, &got);
       EXPECT_EQ(got, want);
+      for (const BlockingIndex* index : {&off, &guaranteed}) {
+        index->Candidates(q_soa[0], &scratch, &got);
+        EXPECT_EQ(got, all) << BlockingModeName(index->mode());
+      }
 
       const int64_t horizons[] = {0, 1, 3599, 3600, 7200, int64_t{1} << 40};
       const uint64_t min_segs[] = {0, 1, 2, 5};
       const BlockingGuarantee g{horizons[rng() % 6], min_segs[rng() % 4]};
       const std::vector<size_t> want_g = RefGuaranteed(rows, q, o, g);
-      soa_index.GuaranteedCandidates(q_soa[0], g, &scratch, &got);
+      guaranteed.GuaranteedCandidates(q_soa[0], g, &scratch, &got);
       EXPECT_EQ(got, want_g) << "horizon " << g.horizon_seconds
                              << " min_segments " << g.min_segments;
+      for (const BlockingIndex* index : {&off, &aggressive}) {
+        index->GuaranteedCandidates(q_soa[0], g, &scratch, &got);
+        EXPECT_EQ(got, all) << BlockingModeName(index->mode());
+      }
     }
   }
 }
@@ -505,19 +522,20 @@ TEST(BlockingTest, ExtremeTimestampSpanGoesToOverflowList) {
   BlockingOptions o = NoSlack();
   o.use_spatial = false;
   o.time_bucket_seconds = 1;
-  const BlockingIndex index(Flat(db), o);
-  EXPECT_EQ(Candidates(index, T("q", 9, {R(0, 0, 0)})),
+  const BlockingIndex aggressive(Flat(db), o, BlockingMode::kAggressive);
+  EXPECT_EQ(Candidates(aggressive, T("q", 9, {R(0, 0, 0)})),
             (std::vector<size_t>{0}));
-  EXPECT_EQ(Candidates(index, T("q", 9, {R(0, 0, far - 5)})),
+  EXPECT_EQ(Candidates(aggressive, T("q", 9, {R(0, 0, far - 5)})),
             (std::vector<size_t>{0, 1}));
-  EXPECT_TRUE(Candidates(index, T("q", 9, {R(0, 0, far + 1)})).empty());
+  EXPECT_TRUE(Candidates(aggressive, T("q", 9, {R(0, 0, far + 1)})).empty());
+  const BlockingIndex guaranteed(Flat(db), o, BlockingMode::kGuaranteed);
   BlockingScratch scratch;
   std::vector<size_t> out;
-  GuaranteedCandidates(index, T("q", 9, {R(0, 0, far)}), {0, 2}, &scratch,
-                       &out);
+  GuaranteedCandidates(guaranteed, T("q", 9, {R(0, 0, far)}), {0, 2},
+                       &scratch, &out);
   EXPECT_EQ(out, (std::vector<size_t>{0, 1}));
-  GuaranteedCandidates(index, T("q", 9, {R(0, 0, -far)}), {0, 2}, &scratch,
-                       &out);
+  GuaranteedCandidates(guaranteed, T("q", 9, {R(0, 0, -far)}), {0, 2},
+                       &scratch, &out);
   EXPECT_EQ(out, (std::vector<size_t>{0}));
 }
 
@@ -535,7 +553,7 @@ TEST(BlockingTest, ExtremeCoordinatesDoNotOverflow) {
   o.use_temporal = false;
   o.cell_size_meters = 0.001;  // tiny cells amplify the coordinates
   o.neighborhood = 1;
-  BlockingIndex index(Flat(db), o);
+  BlockingIndex index(Flat(db), o, BlockingMode::kAggressive);
   // A normal-area query must not pick up the saturated candidates.
   auto near = Candidates(index, T("q", 9, {R(100, 100, 0)}));
   ASSERT_EQ(near.size(), 1u);
@@ -592,8 +610,8 @@ TEST(BlockingTest, CallerOwnedScratchReusableAcrossIndices) {
                     {R(i * 10.0, 0, i * 10), R(i * 10.0, 0, i * 10 + 5)}));
   }
   BlockingOptions o;
-  BlockingIndex small_index(Flat(small), o);
-  BlockingIndex big_index(Flat(big), o);
+  BlockingIndex small_index(Flat(small), o, BlockingMode::kAggressive);
+  BlockingIndex big_index(Flat(big), o, BlockingMode::kAggressive);
   BlockingScratch scratch;
   const traj::FlatDatabase query = Flat(T("q", 9, {R(0, 0, 50)}));
   for (int round = 0; round < 3; ++round) {
@@ -614,9 +632,9 @@ TEST(BlockingTest, NegativeCoordinatesStraddleCellZero) {
   o.use_temporal = false;
   o.cell_size_meters = 1000.0;
   o.neighborhood = 0;
-  BlockingIndex strict(Flat(db), o);
+  BlockingIndex strict(Flat(db), o, BlockingMode::kAggressive);
   o.neighborhood = 1;
-  BlockingIndex relaxed(Flat(db), o);
+  BlockingIndex relaxed(Flat(db), o, BlockingMode::kAggressive);
   Trajectory query = T("q", 9, {R(1, 1, 0)});
   EXPECT_TRUE(Candidates(strict, query).empty());
   EXPECT_EQ(Candidates(relaxed, query).size(), 1u);
@@ -630,7 +648,7 @@ TEST(BlockingTest, BothBlockersDisabledReturnsIdentity) {
   BlockingOptions o;
   o.use_temporal = false;
   o.use_spatial = false;
-  BlockingIndex index(Flat(db), o);
+  BlockingIndex index(Flat(db), o, BlockingMode::kAggressive);
   auto cands = Candidates(index, T("q", 9, {R(0, 0, 0)}));
   EXPECT_EQ(cands, (std::vector<size_t>{0, 1, 2}));
   // ... but an empty query still returns nothing.
@@ -643,7 +661,7 @@ TEST(BlockingTest, MinSharedCellsZeroDisablesSpatialFilter) {
   BlockingOptions o = NoSlack();
   o.use_temporal = false;
   o.min_shared_cells = 0;
-  BlockingIndex index(Flat(db), o);
+  BlockingIndex index(Flat(db), o, BlockingMode::kAggressive);
   EXPECT_EQ(Candidates(index, T("q", 9, {R(0, 0, 0)})).size(), 1u);
 }
 
@@ -652,7 +670,7 @@ TEST(BlockingGuaranteedTest, EdgeCases) {
   (void)db.Add(T("a", 1, {R(0, 0, 0), R(0, 0, 100)}));
   (void)db.Add(T("empty", 2, {}));
   (void)db.Add(T("far", 3, {R(0, 0, 1000000)}));
-  BlockingIndex index(Flat(db), {});
+  BlockingIndex index(Flat(db), {}, BlockingMode::kGuaranteed);
   BlockingScratch scratch;
   std::vector<size_t> out;
 
@@ -672,6 +690,44 @@ TEST(BlockingGuaranteedTest, EdgeCases) {
   // the horizon.
   GuaranteedCandidates(index, T("q", 9, {R(0, 0, 50)}), g, &scratch, &out);
   EXPECT_EQ(out, (std::vector<size_t>{0}));
+}
+
+TEST(BlockingTest, ProbeForAnotherModeReturnsEveryCandidate) {
+  // An index keeps only the lists its own mode probes, so a probe for
+  // another mode cannot prune: it answers with every candidate, even
+  // for an empty query.
+  TrajectoryDatabase db;
+  (void)db.Add(T("near", 1, {R(0, 0, 0), R(0, 0, 100)}));
+  (void)db.Add(T("empty", 2, {}));
+  (void)db.Add(T("far", 3, {R(90000, 90000, 1000000)}));
+  const std::vector<size_t> all{0, 1, 2};
+  const Trajectory query = T("q", 9, {R(0, 0, 50)});
+  const Trajectory empty_query = T("q", 9, {});
+  const BlockingGuarantee g{3600, 1};
+  BlockingScratch scratch;
+  std::vector<size_t> out;
+
+  EXPECT_EQ(BlockingIndex(Flat(db), {}).mode(), BlockingMode::kGuaranteed);
+
+  const BlockingIndex guaranteed(Flat(db), {}, BlockingMode::kGuaranteed);
+  GuaranteedCandidates(guaranteed, query, g, &scratch, &out);
+  EXPECT_EQ(out, (std::vector<size_t>{0}));  // its own probe prunes
+  EXPECT_EQ(Candidates(guaranteed, query), all);
+  EXPECT_EQ(Candidates(guaranteed, empty_query), all);
+
+  const BlockingIndex aggressive(Flat(db), {}, BlockingMode::kAggressive);
+  EXPECT_EQ(aggressive.mode(), BlockingMode::kAggressive);
+  EXPECT_EQ(Candidates(aggressive, query), (std::vector<size_t>{0}));
+  GuaranteedCandidates(aggressive, query, g, &scratch, &out);
+  EXPECT_EQ(out, all);
+  GuaranteedCandidates(aggressive, empty_query, g, &scratch, &out);
+  EXPECT_EQ(out, all);
+
+  const BlockingIndex off(Flat(db), {}, BlockingMode::kOff);
+  EXPECT_EQ(off.size(), 3u);
+  EXPECT_EQ(Candidates(off, query), all);
+  GuaranteedCandidates(off, query, g, &scratch, &out);
+  EXPECT_EQ(out, all);
 }
 
 /// Property harness: a static snapshot in guaranteed mode must answer

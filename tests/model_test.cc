@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/compatibility_model.h"
 #include "core/model_builders.h"
 #include "sim/population_sim.h"
+#include "traj/alignment.h"
+#include "util/rng.h"
 
 namespace ftl::core {
 namespace {
@@ -246,6 +252,117 @@ TEST(ModelPairTest, AcceptanceProbDecaysWithGap) {
   double early = (probs[1] + probs[2] + probs[3]) / 3.0;
   double late = (probs[30] + probs[31] + probs[32]) / 3.0;
   EXPECT_GT(early, late);
+}
+
+/// Algorithms 1 and 2 written out serially: per-bucket incompatible and
+/// total counts of segments shorter than the horizon, finalized with
+/// the Laplace-smoothed frequency (every bucket observed, so no gap
+/// filling).
+struct SerialCounts {
+  explicit SerialCounts(const ModelTrainingOptions& o)
+      : options(o),
+        incompat(static_cast<size_t>(o.horizon_units), 0),
+        total(static_cast<size_t>(o.horizon_units), 0) {}
+
+  void Add(const Record& a, const Record& b) {
+    const int64_t tu = options.time_unit_seconds;
+    const int64_t unit = (traj::TimeDiff(a, b) + tu / 2) / tu;
+    if (unit >= options.horizon_units) return;
+    ++total[static_cast<size_t>(unit)];
+    if (!traj::IsCompatible(a, b, options.vmax_mps)) {
+      ++incompat[static_cast<size_t>(unit)];
+    }
+  }
+
+  std::vector<double> Probs() const {
+    const double alpha = options.laplace_alpha;
+    std::vector<double> probs;
+    for (size_t u = 0; u < total.size(); ++u) {
+      probs.push_back((static_cast<double>(incompat[u]) + alpha) /
+                      (static_cast<double>(total[u]) + 2.0 * alpha));
+    }
+    return probs;
+  }
+
+  const ModelTrainingOptions& options;
+  std::vector<int64_t> incompat;
+  std::vector<int64_t> total;
+};
+
+TEST(ModelPairTest, ParallelBuildMatchesSerialReference) {
+  // Enough trajectories and pairs that every training worker gets some,
+  // and a Q that splits each owner over two labels, so the acceptance
+  // sampler also draws same-owner pairs and skips them.
+  sim::PopulationOptions po;
+  po.num_persons = 120;
+  po.duration_days = 4;
+  po.cdr_accesses_per_day = 30.0;
+  po.transit_accesses_per_day = 30.0;
+  po.seed = 13;
+  const auto data = sim::SimulatePopulation(po);
+  const TrajectoryDatabase& p = data.cdr_db;
+  TrajectoryDatabase q("q");
+  for (const Trajectory& t : data.transit_db) {
+    const auto& recs = t.records();
+    const size_t half = recs.size() / 2;
+    ASSERT_TRUE(q.Add(Trajectory(t.label() + "-a", t.owner(),
+                                 {recs.begin(), recs.begin() + half}))
+                    .ok());
+    ASSERT_TRUE(q.Add(Trajectory(t.label() + "-b", t.owner(),
+                                 {recs.begin() + half, recs.end()}))
+                    .ok());
+  }
+
+  const TrajectoryDatabase* const dbs[] = {&p, &q};
+
+  for (uint64_t seed : {uint64_t{7}, uint64_t{20261017}}) {
+    ModelTrainingOptions o;
+    o.horizon_units = 30;
+    o.acceptance_pairs_per_db = 600;
+    o.seed = seed;
+
+    SerialCounts rejection(o);
+    for (const TrajectoryDatabase* db : dbs) {
+      for (const Trajectory& t : *db) {
+        const auto& recs = t.records();
+        for (size_t i = 1; i < recs.size(); ++i) {
+          rejection.Add(recs[i - 1], recs[i]);
+        }
+      }
+    }
+    SerialCounts acceptance(o);
+    Rng rng(o.seed);
+    size_t skipped = 0;
+    for (const TrajectoryDatabase* db : dbs) {
+      const size_t n = db->size();
+      for (size_t k = 0; k < o.acceptance_pairs_per_db; ++k) {
+        const size_t i = rng.Index(n);
+        size_t j = rng.Index(n - 1);
+        if (j >= i) ++j;
+        if ((*db)[i].owner() != traj::kUnknownOwner &&
+            (*db)[i].owner() == (*db)[j].owner()) {
+          ++skipped;
+          continue;
+        }
+        traj::ForEachMutualSegment(
+            (*db)[i], (*db)[j], [&acceptance](const traj::Segment& s) {
+              acceptance.Add(s.first, s.second);
+            });
+      }
+    }
+    ASSERT_GT(skipped, 0u);
+    for (const SerialCounts* c : {&rejection, &acceptance}) {
+      for (int64_t t : c->total) ASSERT_GT(t, 0) << "gap-filled bucket";
+    }
+
+    auto models = BuildModels(p, q, o);
+    ASSERT_TRUE(models.ok()) << models.status().ToString();
+    EXPECT_EQ(models.value().rejection.support(), rejection.total);
+    EXPECT_EQ(models.value().acceptance.support(), acceptance.total);
+    // operator== on doubles: bit-identical, not merely close.
+    EXPECT_EQ(models.value().rejection.probs(), rejection.Probs());
+    EXPECT_EQ(models.value().acceptance.probs(), acceptance.Probs());
+  }
 }
 
 }  // namespace

@@ -852,13 +852,13 @@ TEST_F(StoreQueryTest, BlockedIndicesSurviveRecovery) {
   }
 }
 
-// A static Q is one snapshot segment. Its Query must equal probing
-// that segment's index and scoring the survivors with the engine, for
-// every blocking mode and thread count; off and guaranteed must also
-// equal exhaustive engine.Query in everything but the scored-candidate
-// count `evaluated`. Q is 16 time-shifted copies of the
-// merged database, so blocking prunes and 4 threads cut each query
-// into several work units.
+// A static Q is one snapshot segment. Its Query must equal probing an
+// index built for the mode under test and scoring the survivors with
+// the engine, for every blocking mode and thread count; off and
+// guaranteed must also equal exhaustive engine.Query in everything but
+// the scored-candidate count `evaluated`. Q is 16 time-shifted copies
+// of the merged database, so blocking prunes and 4 threads cut each
+// query into several work units.
 TEST_F(StoreQueryTest, StaticSnapshotMatchesProbeThenScore) {
   traj::TrajectoryDatabase wide("wide");
   for (int copy = 0; copy < 16; ++copy) {
@@ -872,7 +872,6 @@ TEST_F(StoreQueryTest, StaticSnapshotMatchesProbeThenScore) {
     }
   }
   const traj::FlatDatabase flat = traj::FlatDatabase::FromDatabase(wide);
-  const core::BlockingIndex index(flat, {});
   std::vector<size_t> all(flat.size());
   std::iota(all.begin(), all.end(), size_t{0});
   core::BlockingScratch scratch;
@@ -880,6 +879,7 @@ TEST_F(StoreQueryTest, StaticSnapshotMatchesProbeThenScore) {
   for (core::BlockingMode mode :
        {core::BlockingMode::kOff, core::BlockingMode::kGuaranteed,
         core::BlockingMode::kAggressive}) {
+    const core::BlockingIndex index(flat, {}, mode);
     auto snap = store::StoreSnapshot::Static(flat, mode, {});
     ASSERT_TRUE(snap.ok()) << snap.status().ToString();
     for (core::Matcher matcher :

@@ -171,7 +171,7 @@ std::string UsageText() {
       "\n"
       "candidate generation (link + serve, DESIGN.md §13):\n"
       "  --blocking MODE       off (default, exhaustive) | guaranteed\n"
-      "                        (prune with byte-identical results) |\n"
+      "                        (prune; same candidates and scores) |\n"
       "                        aggressive (span-overlap + co-visitation\n"
       "                        heuristics; recall < 1)\n"
       "  --blocking-bucket-s S time-bucket width, seconds (default 3600)\n"
