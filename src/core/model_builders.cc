@@ -1,6 +1,7 @@
 #include "core/model_builders.h"
 
 #include <algorithm>
+#include <cmath>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -114,8 +115,8 @@ class BucketAccumulator {
 };
 
 Status ValidateOptions(const ModelTrainingOptions& options) {
-  if (options.vmax_mps <= 0.0) {
-    return Status::InvalidArgument("vmax must be positive");
+  if (!std::isfinite(options.vmax_mps) || options.vmax_mps <= 0.0) {
+    return Status::InvalidArgument("vmax must be positive and finite");
   }
   if (options.time_unit_seconds <= 0) {
     return Status::InvalidArgument("time unit must be positive");
@@ -123,8 +124,8 @@ Status ValidateOptions(const ModelTrainingOptions& options) {
   if (options.horizon_units <= 0) {
     return Status::InvalidArgument("horizon must be positive");
   }
-  if (options.laplace_alpha < 0.0) {
-    return Status::InvalidArgument("laplace alpha must be >= 0");
+  if (!std::isfinite(options.laplace_alpha) || options.laplace_alpha < 0.0) {
+    return Status::InvalidArgument("laplace alpha must be finite and >= 0");
   }
   return Status::OK();
 }

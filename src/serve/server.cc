@@ -8,8 +8,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <initializer_list>
+#include <string_view>
 
 #include "io/json_parse.h"
 #include "io/report_json.h"
@@ -130,13 +133,38 @@ HttpResponse ResultResponse(const std::string& label,
   return resp;
 }
 
-/// Parses the body of a POST endpoint into its JSON object root.
-Result<io::JsonValue> ParseBodyObject(const HttpRequest& req) {
+/// InvalidArgument naming the first member of `object` that is not one
+/// of `fields`, or that repeats an earlier one; `what` names the object.
+Status CheckFields(const io::JsonValue& object,
+                   std::initializer_list<std::string_view> fields,
+                   const char* what) {
+  const auto& members = object.members();
+  for (size_t i = 0; i < members.size(); ++i) {
+    const std::string& key = members[i].first;
+    if (std::find(fields.begin(), fields.end(), key) == fields.end()) {
+      return Status::InvalidArgument(std::string(what) +
+                                     " has unknown field '" + key + "'");
+    }
+    for (size_t j = 0; j < i; ++j) {
+      if (members[j].first == key) {
+        return Status::InvalidArgument(std::string(what) +
+                                       " repeats field '" + key + "'");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+/// Parses the body of a POST endpoint into its JSON object root, which
+/// may hold only `fields`, each at most once.
+Result<io::JsonValue> ParseBodyObject(
+    const HttpRequest& req, std::initializer_list<std::string_view> fields) {
   auto parsed = io::ParseJson(req.body);
   if (!parsed.ok()) return parsed.status();
   if (!parsed.value().is_object()) {
     return Status::InvalidArgument("request body must be a JSON object");
   }
+  FTL_RETURN_NOT_OK(CheckFields(parsed.value(), fields, "request"));
   return parsed;
 }
 
@@ -434,7 +462,8 @@ HttpResponse FtlServer::Dispatch(const HttpRequest& req,
 }
 
 HttpResponse FtlServer::HandleQuery(const HttpRequest& req) {
-  auto parsed = ParseBodyObject(req);
+  auto parsed =
+      ParseBodyObject(req, {"query", "matcher", "top", "deadline_ms"});
   if (!parsed.ok()) return ErrorResponse(parsed.status());
   const io::JsonValue& root = parsed.value();
   const io::JsonValue* label_v = root.Find("query");
@@ -464,7 +493,8 @@ HttpResponse FtlServer::HandleQuery(const HttpRequest& req) {
 }
 
 HttpResponse FtlServer::HandleRank(const HttpRequest& req) {
-  auto parsed = ParseBodyObject(req);
+  auto parsed = ParseBodyObject(
+      req, {"query", "candidates", "matcher", "top", "deadline_ms"});
   if (!parsed.ok()) return ErrorResponse(parsed.status());
   const io::JsonValue& root = parsed.value();
   const io::JsonValue* label_v = root.Find("query");
@@ -512,7 +542,7 @@ HttpResponse FtlServer::HandleIngest(const HttpRequest& req) {
     return ErrorResponse(Status::InvalidArgument(
         "ingest requires store mode (`ftl serve --store`)"));
   }
-  auto parsed = ParseBodyObject(req);
+  auto parsed = ParseBodyObject(req, {"records"});
   if (!parsed.ok()) return ErrorResponse(parsed.status());
   const io::JsonValue& root = parsed.value();
   const io::JsonValue* records_v = root.Find("records");
@@ -528,6 +558,9 @@ HttpResponse FtlServer::HandleIngest(const HttpRequest& req) {
       return ErrorResponse(
           Status::InvalidArgument("'records' entries must be objects"));
     }
+    Status fields = CheckFields(rec, {"label", "t", "x", "y", "owner"},
+                                "record");
+    if (!fields.ok()) return ErrorResponse(fields);
     store::IngestRow row;
     const io::JsonValue* label_v = rec.Find("label");
     if (label_v == nullptr || !label_v->is_string() ||

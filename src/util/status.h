@@ -134,7 +134,8 @@ class Result {
 /// category so scripts can branch on the failure kind:
 ///   0 OK; 2 InvalidArgument; 3 NotFound; 4 IOError; 5 OutOfRange;
 ///   6 FailedPrecondition; 7 Internal; 8 DeadlineExceeded; 9 Cancelled.
-/// (1 is reserved for usage errors: unknown command / malformed flags.)
+/// (1 is reserved for usage errors: no arguments or an unknown command;
+/// a flag the command's table rejects is InvalidArgument, 2.)
 /// This is THE status→exit-code table: the one-shot CLI and the
 /// `ftl serve` daemon both use it, and the serve layer's HTTP mapping
 /// (serve::HttpStatusForStatus) derives from the same StatusCode enum,

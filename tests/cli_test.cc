@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
+#include "core/blocking.h"
 #include "io/csv.h"
 #include "io/json_parse.h"
+#include "store/store.h"
 #include "tools/cli.h"
 #include "util/failpoint.h"
 
@@ -30,38 +34,73 @@ struct TempFiles {
   }
 };
 
-// ---------------------------------------------------------------- ArgMap
+// ------------------------------------------------------------ ParseArgs
 
 TEST(ArgMapTest, ParsesKeyValuePairs) {
-  auto m = ArgMap::Parse({"--a", "1", "--b", "x"});
-  ASSERT_TRUE(m.ok());
-  EXPECT_EQ(m.value().Get("a", ""), "1");
-  EXPECT_EQ(m.value().Get("b", ""), "x");
-  EXPECT_EQ(m.value().Get("c", "zz"), "zz");
-  EXPECT_TRUE(m.value().Has("a"));
-  EXPECT_FALSE(m.value().Has("c"));
+  auto m = ParseArgs("link", {"--p", "p.csv", "--q", "q.csv", "--query",
+                              "log-0", "--matcher", "alpha"});
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  EXPECT_EQ(m.value().p, "p.csv");
+  EXPECT_EQ(m.value().q, "q.csv");
+  EXPECT_EQ(m.value().query, "log-0");
+  EXPECT_EQ(m.value().matcher, "alpha");
+  // Flags left out take the table's defaults.
+  EXPECT_EQ(m.value().top, 10);
+  EXPECT_EQ(m.value().blocking, "off");
+  EXPECT_FALSE(m.value().json);
 }
 
 TEST(ArgMapTest, ValuelessFlagGetsTrue) {
-  auto m = ArgMap::Parse({"--verbose", "--k", "3"});
-  ASSERT_TRUE(m.ok());
-  EXPECT_EQ(m.value().Get("verbose", ""), "true");
-  EXPECT_EQ(m.value().Get("k", ""), "3");
+  auto m = ParseArgs("link", {"--json", "--p", "p.csv", "--q", "q.csv"});
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  EXPECT_TRUE(m.value().json);
+  EXPECT_EQ(m.value().p, "p.csv");
+  // A bool flag takes no value, so a word after it is a bare token.
+  EXPECT_FALSE(ParseArgs("link", {"--p", "a", "--q", "b", "--json", "yes"})
+                   .ok());
 }
 
 TEST(ArgMapTest, RejectsBareToken) {
-  EXPECT_FALSE(ArgMap::Parse({"oops"}).ok());
-  EXPECT_FALSE(ArgMap::Parse({"--ok", "1", "--"}).ok());
+  EXPECT_FALSE(ParseArgs("link", {"oops"}).ok());
+  EXPECT_FALSE(ParseArgs("link", {"--p", "a", "--q", "b", "--"}).ok());
+  std::ostringstream out;
+  EXPECT_EQ(RunCli({"link", "oops"}, out), 2);
+  EXPECT_NE(out.str().find("'oops'"), std::string::npos) << out.str();
 }
 
 TEST(ArgMapTest, NumericAccessors) {
-  auto m = ArgMap::Parse({"--d", "2.5", "--i", "42", "--bad", "xyz"});
-  ASSERT_TRUE(m.ok());
-  EXPECT_DOUBLE_EQ(m.value().GetDouble("d", 0).value(), 2.5);
-  EXPECT_EQ(m.value().GetInt("i", 0).value(), 42);
-  EXPECT_DOUBLE_EQ(m.value().GetDouble("missing", 7.0).value(), 7.0);
-  EXPECT_FALSE(m.value().GetDouble("bad", 0).ok());
-  EXPECT_FALSE(m.value().GetInt("d", 0).ok());
+  auto m = ParseArgs("calibrate", {"--p", "a", "--q", "b", "--budget", "2.5",
+                                   "--queries", "42"});
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  EXPECT_DOUBLE_EQ(m.value().budget, 2.5);
+  EXPECT_EQ(m.value().queries, 42);
+  EXPECT_DOUBLE_EQ(m.value().vmax_kph, 120.0);  // default
+  for (std::vector<std::string> bad :
+       {std::vector<std::string>{"--budget", "xyz"},
+        {"--queries", "2.5"},
+        {"--queries", "7x"},
+        {"--vmax-kph", "inf"}}) {
+    bad.insert(bad.begin(), {"--p", "a", "--q", "b"});
+    auto r = ParseArgs("calibrate", bad);
+    ASSERT_FALSE(r.ok()) << bad[4];
+    EXPECT_NE(r.status().message().find(bad[4]), std::string::npos)
+        << r.status().message();
+  }
+}
+
+TEST(ArgMapTest, GetAllReturnsRepeatedFlagInOrder) {
+  auto m = ParseArgs("serve", {"--ftb", "a.ftb", "--p", "p.csv", "--q",
+                               "z.csv", "--ftb", "b.ftb", "--ftb", "c.ftb"});
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  EXPECT_EQ(m.value().ftb, (std::vector<std::string>{"a.ftb", "b.ftb",
+                                                      "c.ftb"}));
+  EXPECT_EQ(m.value().q_shards, std::vector<std::string>{"z.csv"});
+  auto none = ParseArgs("serve", {"--p", "p.csv", "--store", "d"});
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_TRUE(none.value().ftb.empty());
+  // Every other flag is single-valued.
+  EXPECT_FALSE(
+      ParseArgs("serve", {"--p", "a", "--p", "b", "--store", "d"}).ok());
 }
 
 // ------------------------------------------------------------- Commands
@@ -87,20 +126,8 @@ TEST(CliTest, UsageListsServeWithItsFlags) {
   EXPECT_NE(usage.find("--json"), std::string::npos);  // link --json
 }
 
-TEST(ArgMapTest, GetAllReturnsRepeatedFlagInOrder) {
-  auto m = ArgMap::Parse(
-      {"--ftb", "a.ftb", "--p", "p.csv", "--ftb", "b.ftb", "--ftb", "c.ftb"});
-  ASSERT_TRUE(m.ok());
-  std::vector<std::string> shards = m.value().GetAll("ftb");
-  ASSERT_EQ(shards.size(), 3u);
-  EXPECT_EQ(shards[0], "a.ftb");
-  EXPECT_EQ(shards[1], "b.ftb");
-  EXPECT_EQ(shards[2], "c.ftb");
-  EXPECT_TRUE(m.value().GetAll("absent").empty());
-}
-
 // The one-shot CLI and the daemon share one status table: exit codes
-// come from util/status (re-exported here) and the HTTP mapping derives
+// come from util/status and the HTTP mapping derives
 // from the same enum — spot-check the pairing stays coherent.
 TEST(CliTest, ExitCodeTableIsTheSharedOne) {
   EXPECT_EQ(ExitCodeForStatus(Status::OK()), 0);
@@ -417,6 +444,161 @@ TEST(CliTest, StatsMissingFile) {
   EXPECT_EQ(RunCli({"stats", "--db", "/nonexistent/f.csv"}, out),
             4);  // IOError
   EXPECT_NE(out.str().find("IOError"), std::string::npos);
+}
+
+// ------------------------------------------------------ Declared flags
+
+// Inputs that do not exist: a command that read one would exit 4
+// (IOError), so exit 2 shows the line was rejected before any read.
+const std::string kNoP = "/nonexistent/p.csv";
+const std::string kNoQ = "/nonexistent/q.csv";
+
+// A misspelled, repeated or non-finite flag exits 2 naming the flag,
+// and creates no file or store directory.
+TEST(CliTest, UndeclaredRepeatedOrNonFiniteFlagsExit2BeforeRunning) {
+  const std::string store_dir = Tmp("cli_decl_store");
+  const std::string model = Tmp("cli_decl.model");
+  fs::remove_all(store_dir);
+  std::remove(model.c_str());
+  const std::vector<std::pair<std::vector<std::string>, std::string>>
+      cases = {
+          {{"ingest", "--store", store_dir, "--in", kNoQ, "--wal-synk",
+            "always"},
+           "--wal-synk"},
+          {{"link", "--p", kNoP, "--q", kNoQ, "--blocking-cel-m", "5",
+            "--thread", "4"},
+           "--blocking-cel-m"},
+          {{"link", "--p", kNoP, "--q", kNoQ, "--thread", "4"}, "--thread"},
+          {{"link", "--p", kNoP, "--q", kNoQ, "--query", "a", "--query",
+            "b"},
+           "--query"},
+          {{"stats", "--db", kNoP, "--json", "yes"}, "--json"},
+          {{"link", "--p", kNoP, "--q", kNoQ, "--vmax-kph", "nan"},
+           "--vmax-kph"},
+          {{"train", "--p", kNoP, "--q", kNoQ, "--out-rejection", model,
+            "--out-acceptance", model, "--phi", "nan"},
+           "--phi"},
+          {{"ingest", "--store", store_dir, "--in", kNoQ, "--wal-sync",
+            "alwys"},
+           "--wal-sync"},
+      };
+  for (const auto& [argv, flag] : cases) {
+    std::ostringstream out, err;
+    EXPECT_EQ(RunCli(argv, out, err), 2) << flag;
+    EXPECT_NE(err.str().find(flag), std::string::npos) << err.str();
+  }
+  EXPECT_FALSE(fs::exists(store_dir));
+  EXPECT_FALSE(fs::exists(model));
+}
+
+TEST(CliTest, OutOfRangeValuesExit2BeforeRunning) {
+  for (const std::vector<std::string>& bad :
+       {std::vector<std::string>{"--phi", "nan"},
+        {"--phi", "2"},
+        {"--threads", "-4"},
+        {"--top", "-1"},
+        {"--alpha2", "-inf"},
+        {"--blocking-neighborhood", "17"}}) {
+    std::vector<std::string> argv = {"link", "--p", kNoP, "--q", kNoQ};
+    argv.insert(argv.end(), bad.begin(), bad.end());
+    std::ostringstream out, err;
+    EXPECT_EQ(RunCli(argv, out, err), 2) << bad[0] << " " << bad[1];
+    EXPECT_NE(err.str().find(bad[0]), std::string::npos) << err.str();
+  }
+}
+
+// The flags each command takes, by name. A flag added to or dropped
+// from a table changes this list and the usage together.
+TEST(CliTest, EachCommandTakesItsDeclaredFlags) {
+  const std::string input = " lenient quarantine-out";
+  const std::string global = " failpoints metrics-out";
+  const std::string engine = " vmax-kph unit-s horizon phi alpha1 alpha2";
+  const std::string blocking =
+      " blocking blocking-bucket-s blocking-slack-s blocking-cell-m"
+      " blocking-min-cells blocking-neighborhood";
+  const std::string store =
+      " wal-sync wal-sync-interval-ms flush-threshold flush-max-age-s"
+      " backpressure-factor compact-trigger compact-max-segments";
+  const std::vector<std::pair<std::string, std::string>> want = {
+      {"simulate", "out-p out-q config objects seed" + global},
+      {"stats", "db" + input + global},
+      {"train", "p q out-rejection out-acceptance threads" + engine + input +
+                    global},
+      {"link", "p q query matcher top json threads" + engine + blocking +
+                   input + global},
+      {"export", "db out" + input + global},
+      {"validate", "db sanitized-out" + input + global},
+      {"diagnose", "p q threads" + engine + input + global},
+      {"calibrate", "p q matcher budget queries threads" + engine + input +
+                        global},
+      {"enrich", "p q query candidate vmax-kph" + input + global},
+      {"convert", "in out to" + input + global},
+      {"metrics", "format" + global},
+      {"ingest", "store in flush" + store + blocking + input + global},
+      {"serve", "p ftb q store listen threads query-threads max-queue"
+                " request-deadline-ms matcher" +
+                    engine + blocking + store + input + global},
+  };
+  for (const auto& [command, names] : want) {
+    std::istringstream words(names);
+    std::vector<std::string> expected{std::istream_iterator<std::string>(words),
+                                      std::istream_iterator<std::string>()};
+    std::vector<std::string> got = FlagNames(command);
+    std::sort(expected.begin(), expected.end());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, expected) << command;
+  }
+  EXPECT_TRUE(FlagNames("frobnicate").empty());
+}
+
+// A blocking or store flag left out means the library's own default
+// (core::BlockingOptions, store::StoreOptions).
+TEST(CliTest, TableDefaultsAreTheLibraryDefaults) {
+  auto a = ParseArgs("serve", {"--p", "p.csv", "--store", "d"});
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  const core::BlockingOptions bo;
+  EXPECT_EQ(a.value().blocking_cell_m, bo.cell_size_meters);
+  EXPECT_EQ(a.value().blocking_slack_s, bo.temporal_slack_seconds);
+  EXPECT_EQ(a.value().blocking_bucket_s, bo.time_bucket_seconds);
+  EXPECT_EQ(static_cast<size_t>(a.value().blocking_min_cells),
+            bo.min_shared_cells);
+  EXPECT_EQ(a.value().blocking_neighborhood, bo.neighborhood);
+  const store::StoreOptions so;
+  EXPECT_EQ(a.value().wal_sync, store::WalSyncName(so.wal_sync));
+  EXPECT_EQ(a.value().wal_sync_interval_ms, so.wal_sync_interval_ms);
+  EXPECT_EQ(static_cast<size_t>(a.value().flush_threshold),
+            so.flush_threshold_records);
+  EXPECT_EQ(a.value().flush_max_age_s, so.flush_max_age_seconds);
+  EXPECT_EQ(a.value().backpressure_factor, so.backpressure_factor);
+  EXPECT_EQ(static_cast<size_t>(a.value().compact_trigger),
+            so.compact_trigger);
+  EXPECT_EQ(static_cast<size_t>(a.value().compact_max_segments),
+            so.compact_max_segments);
+}
+
+// docs/OPERATIONS.md's flag tables document serve and ingest flags;
+// each must be declared for one of them and shown in the usage.
+TEST(CliTest, OperationsDocFlagsAreDeclared) {
+  std::ifstream doc(std::string(FTL_SOURCE_DIR) + "/docs/OPERATIONS.md");
+  ASSERT_TRUE(doc.good());
+  const std::string usage = UsageText();
+  const std::vector<std::string> serve = FlagNames("serve");
+  const std::vector<std::string> ingest = FlagNames("ingest");
+  auto takes = [](const std::vector<std::string>& names,
+                  const std::string& flag) {
+    return std::find(names.begin(), names.end(), flag) != names.end();
+  };
+  const std::string row = "| `--";  // a flag table row
+  size_t rows = 0;
+  for (std::string line; std::getline(doc, line);) {
+    if (line.rfind(row, 0) != 0) continue;
+    const std::string flag = line.substr(
+        row.size(), line.find_first_of(" `", row.size()) - row.size());
+    EXPECT_TRUE(takes(serve, flag) || takes(ingest, flag)) << flag;
+    EXPECT_NE(usage.find("--" + flag + " "), std::string::npos) << flag;
+    ++rows;
+  }
+  EXPECT_GE(rows, 20u);
 }
 
 // ----------------------------------------------------- Robustness flags

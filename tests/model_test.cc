@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -140,6 +141,33 @@ TEST(RejectionModelTest, InvalidOptionsRejected) {
   o = FastOptions();
   o.laplace_alpha = -0.5;
   EXPECT_FALSE(BuildRejectionModel(p, q, o).ok());
+}
+
+// NaN passes a `<= 0` test, so each option is checked for being finite
+// too; both builders (and FtlEngine::Train, which calls BuildModels)
+// share the check.
+TEST(RejectionModelTest, NonFiniteOptionsRejected) {
+  TrajectoryDatabase p("p"), q("q");
+  (void)p.Add(SlowWalk("a", 1, 10, 5.0, 60));
+  (void)q.Add(SlowWalk("b", 2, 10, 5.0, 60));
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    ModelTrainingOptions o = FastOptions();
+    o.vmax_mps = bad;
+    EXPECT_EQ(BuildRejectionModel(p, q, o).status().code(),
+              StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(BuildAcceptanceModel(p, q, o).status().code(),
+              StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(BuildModels(p, q, o).status().code(),
+              StatusCode::kInvalidArgument) << bad;
+    o = FastOptions();
+    o.laplace_alpha = bad;
+    EXPECT_EQ(BuildRejectionModel(p, q, o).status().code(),
+              StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(BuildAcceptanceModel(p, q, o).status().code(),
+              StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 TEST(RejectionModelTest, SupportRecorded) {

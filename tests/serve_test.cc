@@ -232,6 +232,132 @@ TEST_F(ServeTest, BadRequestsMapToTheContract) {
   server.Wait();
 }
 
+// A body field the endpoint does not take, or one given twice, is a
+// 400 naming the field: it must not run with the field ignored (a
+// misspelled "deadline_ms" once answered 200 with no deadline).
+void ExpectFieldRejected(int port, const std::string& path,
+                         const std::string& body, const std::string& field) {
+  auto r = HttpRequestOnce("127.0.0.1", port, "POST", path, body);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().status, 400) << body << " -> " << r.value().body;
+  EXPECT_NE(r.value().body.find("'" + field + "'"), std::string::npos)
+      << r.value().body;
+}
+
+TEST_F(ServeTest, QueryRejectsUnknownOrRepeatedFields) {
+  FtlServer server(EphemeralOptions(), engine_, &data_->cdr_db, StaticQ());
+  ASSERT_TRUE(server.Start().ok());
+  const std::string label = data_->cdr_db[0].label();
+  ExpectFieldRejected(
+      server.port(), "/v1/query",
+      "{\"query\":\"" + label + "\",\"deadline_msec\":5,\"topp\":1}",
+      "deadline_msec");
+  ExpectFieldRejected(server.port(), "/v1/query",
+                      "{\"query\":\"" + label + "\",\"query\":\"nope\"}",
+                      "query");
+  server.Shutdown();
+  server.Wait();
+}
+
+TEST_F(ServeTest, RankRejectsUnknownOrRepeatedFields) {
+  FtlServer server(EphemeralOptions(), engine_, &data_->cdr_db, StaticQ());
+  ASSERT_TRUE(server.Start().ok());
+  const std::string head = "{\"query\":\"" + data_->cdr_db[0].label() +
+                           "\",\"candidates\":[\"" +
+                           data_->transit_db[0].label() + "\"]";
+  ExpectFieldRejected(server.port(), "/v1/rank",
+                      head + ",\"candidate\":[\"x\"]}", "candidate");
+  ExpectFieldRejected(server.port(), "/v1/rank", head + ",\"top\":1,\"top\":2}",
+                      "top");
+  server.Shutdown();
+  server.Wait();
+}
+
+TEST_F(ServeTest, IngestRejectsUnknownOrRepeatedFields) {
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     ("ftl_serve_ingest_fields." +
+                      std::to_string(static_cast<long long>(::getpid()))))
+                        .string();
+  std::filesystem::remove_all(dir);
+  store::StoreOptions sto;
+  sto.wal_sync = store::WalSync::kNever;
+  std::unique_ptr<store::Store> store = store::Store::Create(dir, sto);
+  ASSERT_TRUE(store->Recover().ok());
+  FtlServer server(EphemeralOptions(), engine_, &data_->cdr_db, store.get());
+  ASSERT_TRUE(server.Start().ok());
+  const std::string row = "\"label\":\"live-0\",\"t\":1000,\"x\":1.5,\"y\":2";
+  ExpectFieldRejected(server.port(), "/v1/ingest",
+                      "{\"records\":[{" + row + "}],\"flush\":true}", "flush");
+  ExpectFieldRejected(server.port(), "/v1/ingest",
+                      "{\"records\":[{" + row + "},{" + row +
+                          ",\"lable\":\"live-1\"}]}",
+                      "lable");
+  ExpectFieldRejected(server.port(), "/v1/ingest",
+                      "{\"records\":[{" + row + ",\"x\":9}]}", "x");
+  EXPECT_EQ(store->total_records(), 0u);  // no batch was half-taken
+  server.Shutdown();
+  server.Wait();
+  store.reset();
+  std::filesystem::remove_all(dir);
+}
+
+// The bodies bench/e2e sends (query + matcher; records with label, t,
+// x, y and owner) keep answering 200 with the same bytes.
+TEST_F(ServeTest, BenchShapedBodiesStillAnswer200) {
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     ("ftl_serve_bench_bodies." +
+                      std::to_string(static_cast<long long>(::getpid()))))
+                        .string();
+  std::filesystem::remove_all(dir);
+  store::StoreOptions sto;
+  sto.wal_sync = store::WalSync::kNever;
+  std::unique_ptr<store::Store> store = store::Store::Create(dir, sto);
+  ASSERT_TRUE(store->Recover().ok());
+  FtlServer server(EphemeralOptions(), engine_, &data_->cdr_db, store.get());
+  ASSERT_TRUE(server.Start().ok());
+  const traj::Trajectory& t = data_->transit_db[0];
+  io::JsonWriter w;
+  w.BeginObject();
+  w.Key("records");
+  w.BeginArray();
+  for (const traj::Record& r : t.records()) {
+    w.BeginObject();
+    w.Key("label");
+    w.Value(t.label());
+    w.Key("t");
+    w.Value(static_cast<int64_t>(r.t));
+    w.Key("x");
+    w.Value(r.location.x);
+    w.Key("y");
+    w.Value(r.location.y);
+    w.Key("owner");
+    w.Value(static_cast<uint64_t>(t.owner()));
+    w.EndObject();
+  }
+  w.EndArray();
+  w.EndObject();
+  auto ingest = HttpRequestOnce("127.0.0.1", server.port(), "POST",
+                                "/v1/ingest", w.str());
+  ASSERT_TRUE(ingest.ok()) << ingest.status().ToString();
+  ASSERT_EQ(ingest.value().status, 200) << ingest.value().body;
+  EXPECT_EQ(store->total_records(), t.size());
+
+  const std::string label = data_->cdr_db[0].label();
+  auto direct = store->Snapshot()->Query(*engine_, data_->cdr_db[0],
+                                         Matcher::kAlphaFilter, nullptr);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  auto r = HttpRequestOnce("127.0.0.1", server.port(), "POST", "/v1/query",
+                           "{\"query\":\"" + label +
+                               "\",\"matcher\":\"alpha\"}");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().status, 200) << r.value().body;
+  EXPECT_EQ(r.value().body, io::QueryResultToJson(label, direct.value()));
+  server.Shutdown();
+  server.Wait();
+  store.reset();
+  std::filesystem::remove_all(dir);
+}
+
 TEST_F(ServeTest, OversizedBodyReturns413) {
   ServeOptions so = EphemeralOptions();
   so.max_body_bytes = 64;

@@ -1,215 +1,137 @@
 #include "tools/cli.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <span>
 #include <sstream>
 #include <thread>
+#include <variant>
 
 #include "ftl/ftl.h"
 #include "obs/metrics.h"
 
 namespace ftl::tools {
-
-Result<ArgMap> ArgMap::Parse(const std::vector<std::string>& args) {
-  ArgMap m;
-  size_t i = 0;
-  while (i < args.size()) {
-    const std::string& tok = args[i];
-    if (tok.rfind("--", 0) != 0 || tok.size() <= 2) {
-      return Status::InvalidArgument("expected --flag, got '" + tok + "'");
-    }
-    std::string key = tok.substr(2);
-    if (i + 1 < args.size() && args[i + 1].rfind("--", 0) != 0) {
-      m.kv_.emplace_back(key, args[i + 1]);
-      i += 2;
-    } else {
-      m.kv_.emplace_back(key, "true");
-      i += 1;
-    }
-  }
-  return m;
-}
-
-std::string ArgMap::Get(const std::string& key,
-                        const std::string& fallback) const {
-  for (const auto& [k, v] : kv_) {
-    if (k == key) return v;
-  }
-  return fallback;
-}
-
-bool ArgMap::Has(const std::string& key) const {
-  for (const auto& [k, v] : kv_) {
-    if (k == key) return true;
-  }
-  return false;
-}
-
-std::vector<std::string> ArgMap::GetAll(const std::string& key) const {
-  std::vector<std::string> out;
-  for (const auto& [k, v] : kv_) {
-    if (k == key) out.push_back(v);
-  }
-  return out;
-}
-
-Result<double> ArgMap::GetDouble(const std::string& key,
-                                 double fallback) const {
-  if (!Has(key)) return fallback;
-  double v = 0;
-  if (!ParseDouble(Get(key, ""), &v)) {
-    return Status::InvalidArgument("--" + key + " expects a number, got '" +
-                                   Get(key, "") + "'");
-  }
-  return v;
-}
-
-Result<int64_t> ArgMap::GetInt(const std::string& key,
-                               int64_t fallback) const {
-  if (!Has(key)) return fallback;
-  int64_t v = 0;
-  if (!ParseInt64(Get(key, ""), &v)) {
-    return Status::InvalidArgument("--" + key +
-                                   " expects an integer, got '" +
-                                   Get(key, "") + "'");
-  }
-  return v;
-}
-
-std::string UsageText() {
-  return
-      "ftl — fuzzy trajectory linking toolkit\n"
-      "\n"
-      "usage: ftl <command> [--flag value ...]\n"
-      "\n"
-      "commands:\n"
-      "  simulate  --out-p P.csv --out-q Q.csv [--config SF] [--objects N]\n"
-      "            [--seed S]          generate a synthetic dataset pair\n"
-      "  stats     --db D.csv          print Table-I style statistics\n"
-      "  train     --p P.csv --q Q.csv --out-rejection R.model\n"
-      "            --out-acceptance A.model [--vmax-kph 120] [--unit-s 60]\n"
-      "            [--horizon 60]      train and persist both models\n"
-      "  link      --p P.csv --q Q.csv [--query LABEL] [--matcher nb|alpha]\n"
-      "            [--phi 0.01] [--alpha1 0.01] [--alpha2 0.1] [--top 10]\n"
-      "            [--threads 1] [--json] [--blocking off|guaranteed|\n"
-      "            aggressive]\n"
-      "                                link query trajectories against Q;\n"
-      "                                --json emits one JSON document per\n"
-      "                                query (the serve API's wire format)\n"
-      "  export    --db D.csv --out D.geojson\n"
-      "                                convert a database to GeoJSON\n"
-      "  validate  --db D.csv [--sanitized-out C.csv]\n"
-      "                                audit data quality, optionally fix\n"
-      "  diagnose  --p P.csv --q Q.csv report model separability\n"
-      "  calibrate --p P.csv --q Q.csv [--matcher nb|alpha] [--budget 10]\n"
-      "            [--queries 50]      auto-pick thresholds for a budget\n"
-      "  enrich    --p P.csv --q Q.csv --query L1 --candidate L2\n"
-      "                                merge a linked pair (Figure 2)\n"
-      "  convert   --in D.csv --out D.ftb [--to ftb|csv]\n"
-      "                                convert between CSV and the FTB\n"
-      "                                binary columnar store\n"
-      "  metrics   [--format prom|json]\n"
-      "                                dump the process metrics registry\n"
-      "  ingest    --store DIR --in D.csv\n"
-      "                                append trajectories to a crash-safe\n"
-      "                                WAL-backed store (one atomic batch\n"
-      "                                per trajectory; DESIGN.md §12)\n"
-      "    --wal-sync MODE           always|interval|never: fsync policy\n"
-      "                              (default interval; always = every\n"
-      "                              acked append survives any crash)\n"
-      "    --wal-sync-interval-ms MS fsync cadence for interval mode\n"
-      "                              (default 50)\n"
-      "    --flush-threshold N       memtable records before an automatic\n"
-      "                              flush to an immutable FTB segment\n"
-      "                              (default 100000)\n"
-      "    --flush-max-age-s S       also flush when the memtable is older\n"
-      "                              than S seconds (default 0 = off)\n"
-      "    --backpressure-factor F   reject appends (exit code 5) once the\n"
-      "                              memtable exceeds F x flush-threshold\n"
-      "                              with flushes failing (default 4)\n"
-      "    --flush                   force a final flush after ingesting\n"
-      "    --compact-trigger N       compact once the store holds >= N\n"
-      "                              segments (default 0 = off); ingest\n"
-      "                              compacts inline before exiting, serve\n"
-      "                              runs a background compactor thread\n"
-      "    --compact-max-segments M  segments merged per compaction round\n"
-      "                              (default 8, minimum 2)\n"
-      "  serve     --p P.csv --ftb Q.ftb [--ftb MORE.ftb ...]\n"
-      "                                run the long-lived query daemon:\n"
-      "                                HTTP/1.1 JSON API (POST /v1/query,\n"
-      "                                POST /v1/rank, POST /v1/ingest,\n"
-      "                                GET /metrics, GET /healthz,\n"
-      "                                GET /readyz, POST /admin/shutdown)\n"
-      "    --listen H:P              bind address (default 127.0.0.1:8080)\n"
-      "    --ftb FILE                candidate shard, repeatable; shards\n"
-      "                              merge in flag order (CSV or FTB,\n"
-      "                              sniffed by magic bytes)\n"
-      "    --store DIR               candidate side is a live store\n"
-      "                              instead of static shards: /v1/ingest\n"
-      "                              appends (visible immediately), the\n"
-      "                              port binds before recovery + training\n"
-      "                              and /readyz gates the warm-up; the\n"
-      "                              ingest flags above apply\n"
-      "    --threads N               worker threads (default: one per\n"
-      "                              hardware thread; with --query-threads\n"
-      "                              set, defaults to hardware threads /\n"
-      "                              query threads to keep the product\n"
-      "                              within the machine)\n"
-      "    --query-threads N         shard each query's snapshot walk\n"
-      "                              over N threads (static shards or\n"
-      "                              --store); results stay\n"
-      "                              byte-identical (default 1)\n"
-      "    --max-queue N             bounded request queue; beyond it new\n"
-      "                              requests get 503 + Retry-After\n"
-      "                              (default 128)\n"
-      "    --request-deadline-ms MS  default per-request deadline; expired\n"
-      "                              requests get 408 with the partial\n"
-      "                              result (default 0 = none)\n"
-      "    --matcher nb|alpha        default matcher for requests that\n"
-      "                              name none (default nb)\n"
-      "                              see docs/OPERATIONS.md + docs/API.md\n"
-      "\n"
-      "candidate generation (link + serve, DESIGN.md §13):\n"
-      "  --blocking MODE       off (default, exhaustive) | guaranteed\n"
-      "                        (prune; same candidates and scores) |\n"
-      "                        aggressive (span-overlap + co-visitation\n"
-      "                        heuristics; recall < 1)\n"
-      "  --blocking-bucket-s S time-bucket width, seconds (default 3600)\n"
-      "  --blocking-slack-s S  aggressive span slack, seconds\n"
-      "                        (default 21600)\n"
-      "  --blocking-cell-m M   aggressive grid cell size, meters\n"
-      "                        (default 3000)\n"
-      "  --blocking-min-cells N  shared cells required (0 disables the\n"
-      "                        spatial blocker; default 1)\n"
-      "  --blocking-neighborhood R  cell expansion rings (default 1)\n"
-      "\n"
-      "Any --p/--q/--db/--in input may be a .ftb file (detected by magic\n"
-      "bytes, loaded zero-copy via mmap) instead of CSV.\n"
-      "\n"
-      "global flags:\n"
-      "  --lenient             quarantine malformed CSV rows instead of\n"
-      "                        failing the load (summary printed)\n"
-      "  --quarantine-out F    with --lenient, write quarantined rows of\n"
-      "                        each input to F.<flag>.csv\n"
-      "  --failpoints SPEC     arm fault injection: site=action[:arg];...\n"
-      "                        (also via the FTL_FAILPOINTS env var)\n"
-      "  --metrics-out F       after the command runs, write a metrics\n"
-      "                        snapshot to F (.prom/.txt: Prometheus text,\n"
-      "                        otherwise JSON); written even on failure\n";
-}
-
 namespace {
 
-/// Loads one input (CSV or FTB, sniffed by magic bytes) honoring the
-/// global --lenient / --quarantine-out flags. `flag` names the sidecar
-/// suffix and diagnostics only; `path` is the actual input.
-Result<traj::TrajectoryDatabase> LoadDbFromPath(const std::string& path,
-                                                const ArgMap& args,
-                                                const std::string& flag,
-                                                std::ostream& out) {
-  if (path.empty()) {
-    return Status::InvalidArgument("missing required --" + flag);
-  }
+constexpr double kInf = std::numeric_limits<double>::infinity();
+/// A `min` that admits every positive value and nothing else.
+constexpr double kPositive = std::numeric_limits<double>::denorm_min();
+/// The `def` of a flag the command cannot run without.
+constexpr char kRequired[] = "";
+
+using BoolField = bool Args::*;                      // takes no value
+using ListField = std::vector<std::string> Args::*;  // may repeat
+
+/// One declared flag. Its default is parsed and checked like a value
+/// given on the command line; a flag without one starts out empty.
+struct Flag {
+  const char* name;  ///< without the leading "--"
+  std::variant<std::string Args::*, int64_t Args::*, double Args::*,
+               BoolField, ListField>
+      field;
+  /// The value's placeholder in the usage; "a|b|c" lists the only
+  /// values the flag accepts.
+  const char* meta;
+  const char* def;  ///< nullptr: none; kRequired: must be given
+  const char* help;
+  double min = -kInf;  ///< inclusive bounds of a numeric value
+  double max = kInf;
+};
+
+constexpr Flag kP = {"p", &Args::p, "FILE", kRequired,
+                     "query-side database P"};
+constexpr Flag kQ = {"q", &Args::q, "FILE", kRequired,
+                     "candidate database Q"};
+constexpr Flag kThreads = {"threads", &Args::threads, "N", "1",
+                           "engine worker threads", 1};
+constexpr Flag kMatcher = {"matcher", &Args::matcher, "nb|alpha", "nb",
+                           "Naive-Bayes matching or (alpha1,alpha2)-filtering"};
+constexpr Flag kVmax = {"vmax-kph", &Args::vmax_kph, "KPH", "120",
+                        "maximum plausible speed Vmax, km/h", kPositive};
+
+constexpr Flag kEngineFlags[] = {
+    kVmax,
+    {"unit-s", &Args::unit_s, "S", "60",
+     "time unit of mutual-segment lengths, seconds", 1},
+    {"horizon", &Args::horizon, "N", "60",
+     "mutual segments longer than N time units count as compatible", 1},
+    {"phi", &Args::phi, "P", "0.01",
+     "nb prior phi_r that a pair is one person; larger loosens", 0, 1},
+    {"alpha1", &Args::alpha1, "A", "0.01", "alpha rejection significance",
+     0, 1},
+    {"alpha2", &Args::alpha2, "A", "0.1", "alpha acceptance significance",
+     0, 1},
+};
+
+constexpr Flag kBlockingFlags[] = {
+    {"blocking", &Args::blocking, "off|guaranteed|aggressive", "off",
+     "candidate pruning: guaranteed keeps the same results; aggressive "
+     "adds heuristics (recall < 1)"},
+    {"blocking-bucket-s", &Args::blocking_bucket_s, "S", "3600",
+     "time-bucket width, seconds", 1},
+    {"blocking-slack-s", &Args::blocking_slack_s, "S", "21600",
+     "aggressive span slack, seconds", 0},
+    {"blocking-cell-m", &Args::blocking_cell_m, "M", "3000",
+     "aggressive grid cell size, meters", kPositive},
+    {"blocking-min-cells", &Args::blocking_min_cells, "N", "1",
+     "aggressive shared cells required (0: no spatial blocker)", 0},
+    {"blocking-neighborhood", &Args::blocking_neighborhood, "R", "1",
+     "aggressive cell expansion rings", 0, 16},
+};
+
+constexpr Flag kStoreFlags[] = {
+    {"wal-sync", &Args::wal_sync, "always|interval|never", "interval",
+     "fsync policy; always = every acked append survives any crash"},
+    {"wal-sync-interval-ms", &Args::wal_sync_interval_ms, "MS", "50",
+     "fsync cadence for interval mode", 1},
+    {"flush-threshold", &Args::flush_threshold, "N", "100000",
+     "memtable records before a flush to an immutable FTB segment", 1},
+    {"flush-max-age-s", &Args::flush_max_age_s, "S", "0",
+     "also flush a memtable older than S seconds (0: never)", 0},
+    {"backpressure-factor", &Args::backpressure_factor, "F", "4",
+     "while flushes fail, reject appends past F x flush-threshold", 1},
+    {"compact-trigger", &Args::compact_trigger, "N", "0",
+     "compact at >= N segments (0: never); in the background in serve", 0},
+    {"compact-max-segments", &Args::compact_max_segments, "M", "8",
+     "segments merged per compaction round", 2},
+};
+
+constexpr Flag kInputFlags[] = {
+    {"lenient", &Args::lenient, "", nullptr,
+     "quarantine malformed CSV rows instead of failing the load"},
+    {"quarantine-out", &Args::quarantine_out, "F", nullptr,
+     "with --lenient, write each input's quarantined rows to F.<flag>.csv"},
+};
+
+constexpr Flag kGlobalFlags[] = {
+    {"failpoints", &Args::failpoints, "SPEC", nullptr,
+     "arm fault injection: site=action[:arg];... (or FTL_FAILPOINTS)"},
+    {"metrics-out", &Args::metrics_out, "F", nullptr,
+     "write metrics to F even on failure (.prom/.txt: Prometheus, else JSON)"},
+};
+
+/// The shared flag groups; bit i of Command::groups selects kGroups[i].
+struct Group {
+  const char* title;
+  std::span<const Flag> flags;
+};
+constexpr Group kGroups[] = {{"engine", kEngineFlags},
+                             {"blocking", kBlockingFlags},
+                             {"store", kStoreFlags},
+                             {"input", kInputFlags},
+                             {"global", kGlobalFlags}};
+enum : unsigned { kEngine = 1, kBlocking = 2, kStore = 4, kInput = 8,
+                  kGlobal = 16 };
+
+/// Loads one input (CSV or FTB, sniffed by magic bytes) honoring
+/// --lenient / --quarantine-out. `flag` names the sidecar suffix.
+Result<traj::TrajectoryDatabase> LoadDb(const std::string& path,
+                                        const Args& a, const char* flag,
+                                        std::ostream& out) {
   // Transparent binary-store detection: an input starting with the FTB
   // magic loads through the columnar reader regardless of extension.
   // --lenient does not apply (it quarantines malformed CSV rows; FTB
@@ -221,12 +143,11 @@ Result<traj::TrajectoryDatabase> LoadDbFromPath(const std::string& path,
     if (db.name().empty()) db.set_name(path);
     return db;
   }
-  if (!args.Has("lenient")) return io::ReadCsv(path, path);
+  if (!a.lenient) return io::ReadCsv(path, path);
   io::CsvReadOptions opts;
   opts.lenient = true;
-  std::string sidecar = args.Get("quarantine-out", "");
-  if (!sidecar.empty()) {
-    opts.sidecar_path = sidecar + "." + flag + ".csv";
+  if (!a.quarantine_out.empty()) {
+    opts.sidecar_path = a.quarantine_out + "." + flag + ".csv";
   }
   io::QuarantineReport report;
   auto db = io::ReadCsv(path, path, opts, &report);
@@ -242,125 +163,70 @@ Result<traj::TrajectoryDatabase> LoadDbFromPath(const std::string& path,
   return db;
 }
 
-Result<traj::TrajectoryDatabase> LoadDb(const ArgMap& args,
-                                        const std::string& flag,
-                                        std::ostream& out) {
-  return LoadDbFromPath(args.Get(flag, ""), args, flag, out);
-}
-
-Result<core::EngineOptions> EngineOptionsFromArgs(const ArgMap& args) {
+core::EngineOptions EngineOptionsFromArgs(const Args& a) {
   core::EngineOptions eo;
-  auto vmax = args.GetDouble("vmax-kph", 120.0);
-  if (!vmax.ok()) return vmax.status();
-  eo.training.vmax_mps = geo::KphToMps(vmax.value());
-  auto unit = args.GetInt("unit-s", 60);
-  if (!unit.ok()) return unit.status();
-  eo.training.time_unit_seconds = unit.value();
-  auto horizon = args.GetInt("horizon", 60);
-  if (!horizon.ok()) return horizon.status();
-  eo.training.horizon_units = horizon.value();
-  auto phi = args.GetDouble("phi", 0.01);
-  if (!phi.ok()) return phi.status();
-  eo.naive_bayes.phi_r = phi.value();
-  auto a1 = args.GetDouble("alpha1", 0.01);
-  if (!a1.ok()) return a1.status();
-  auto a2 = args.GetDouble("alpha2", 0.1);
-  if (!a2.ok()) return a2.status();
-  eo.alpha = {a1.value(), a2.value()};
-  auto threads = args.GetInt("threads", 1);
-  if (!threads.ok()) return threads.status();
-  eo.num_threads = static_cast<size_t>(std::max<int64_t>(1,
-                                                          threads.value()));
+  eo.training.vmax_mps = geo::KphToMps(a.vmax_kph);
+  eo.training.time_unit_seconds = a.unit_s;
+  eo.training.horizon_units = a.horizon;
+  eo.naive_bayes.phi_r = a.phi;
+  eo.alpha.alpha1 = a.alpha1;
+  eo.alpha.alpha2 = a.alpha2;
+  eo.num_threads = static_cast<size_t>(a.threads);
   return eo;
 }
 
-/// Parses `--matcher` (default nb), shared by `ftl link`,
-/// `ftl calibrate` and `ftl serve`.
-Result<core::Matcher> MatcherFromArgs(const ArgMap& args) {
-  auto m = core::ParseMatcher(args.Get("matcher", "nb"));
-  if (!m.ok()) {
-    return Status::InvalidArgument("--matcher: " + m.status().message());
-  }
-  return m;
-}
-
-/// Parses the shared candidate-generation flags (`ftl link`,
-/// `ftl serve`, and the store commands): --blocking MODE plus the
-/// tuning knobs. Returns mode kOff when the flag is absent.
-Status BlockingFromArgs(const ArgMap& args, core::BlockingMode* mode,
-                        core::BlockingOptions* bo) {
-  auto m = core::ParseBlockingMode(args.Get("blocking", "off"));
+Status BlockingFromArgs(const Args& a, core::BlockingMode* mode,
+                    core::BlockingOptions* bo) {
+  auto m = core::ParseBlockingMode(a.blocking);
   if (!m.ok()) return m.status();
   *mode = m.value();
-  auto cell = args.GetDouble("blocking-cell-m", bo->cell_size_meters);
-  if (!cell.ok()) return cell.status();
-  bo->cell_size_meters = cell.value();
-  auto slack = args.GetInt("blocking-slack-s", bo->temporal_slack_seconds);
-  if (!slack.ok()) return slack.status();
-  bo->temporal_slack_seconds = slack.value();
-  auto bucket = args.GetInt("blocking-bucket-s", bo->time_bucket_seconds);
-  if (!bucket.ok()) return bucket.status();
-  bo->time_bucket_seconds = bucket.value();
-  auto cells = args.GetInt("blocking-min-cells",
-                           static_cast<int64_t>(bo->min_shared_cells));
-  if (!cells.ok()) return cells.status();
-  if (cells.value() < 0) {
-    return Status::InvalidArgument("--blocking-min-cells must be >= 0");
-  }
-  bo->min_shared_cells = static_cast<size_t>(cells.value());
-  auto hood = args.GetInt("blocking-neighborhood", bo->neighborhood);
-  if (!hood.ok()) return hood.status();
-  bo->neighborhood = static_cast<int>(hood.value());
-  if (*mode != core::BlockingMode::kOff) {
-    FTL_RETURN_NOT_OK(bo->Validate());
-  }
+  bo->cell_size_meters = a.blocking_cell_m;
+  bo->temporal_slack_seconds = a.blocking_slack_s;
+  bo->time_bucket_seconds = a.blocking_bucket_s;
+  bo->min_shared_cells = static_cast<size_t>(a.blocking_min_cells);
+  bo->neighborhood = static_cast<int>(a.blocking_neighborhood);
   return Status::OK();
 }
 
-/// Parses the shared store flags (`ftl ingest`, `ftl serve --store`).
-Result<store::StoreOptions> StoreOptionsFromArgs(const ArgMap& args) {
+Result<store::StoreOptions> StoreOptionsFromArgs(const Args& a) {
   store::StoreOptions so;
-  auto sync = store::ParseWalSync(args.Get("wal-sync", "interval"));
+  auto sync = store::ParseWalSync(a.wal_sync);
   if (!sync.ok()) return sync.status();
   so.wal_sync = sync.value();
-  auto interval = args.GetInt("wal-sync-interval-ms", 50);
-  if (!interval.ok()) return interval.status();
-  if (interval.value() < 1) {
-    return Status::InvalidArgument("--wal-sync-interval-ms must be >= 1");
-  }
-  so.wal_sync_interval_ms = interval.value();
-  auto threshold = args.GetInt("flush-threshold", 100000);
-  if (!threshold.ok()) return threshold.status();
-  if (threshold.value() < 1) {
-    return Status::InvalidArgument("--flush-threshold must be >= 1");
-  }
-  so.flush_threshold_records = static_cast<size_t>(threshold.value());
-  auto age = args.GetDouble("flush-max-age-s", 0.0);
-  if (!age.ok()) return age.status();
-  if (age.value() < 0) {
-    return Status::InvalidArgument("--flush-max-age-s must be >= 0");
-  }
-  so.flush_max_age_seconds = age.value();
-  auto bp = args.GetDouble("backpressure-factor", 4.0);
-  if (!bp.ok()) return bp.status();
-  if (bp.value() < 1.0) {
-    return Status::InvalidArgument("--backpressure-factor must be >= 1");
-  }
-  so.backpressure_factor = bp.value();
-  auto trigger = args.GetInt("compact-trigger", 0);
-  if (!trigger.ok()) return trigger.status();
-  if (trigger.value() < 0) {
-    return Status::InvalidArgument("--compact-trigger must be >= 0");
-  }
-  so.compact_trigger = static_cast<size_t>(trigger.value());
-  auto maxseg = args.GetInt("compact-max-segments", 8);
-  if (!maxseg.ok()) return maxseg.status();
-  if (maxseg.value() < 2) {
-    return Status::InvalidArgument("--compact-max-segments must be >= 2");
-  }
-  so.compact_max_segments = static_cast<size_t>(maxseg.value());
-  FTL_RETURN_NOT_OK(BlockingFromArgs(args, &so.blocking_mode, &so.blocking));
+  so.wal_sync_interval_ms = a.wal_sync_interval_ms;
+  so.flush_threshold_records = static_cast<size_t>(a.flush_threshold);
+  so.flush_max_age_seconds = a.flush_max_age_s;
+  so.backpressure_factor = a.backpressure_factor;
+  so.compact_trigger = static_cast<size_t>(a.compact_trigger);
+  so.compact_max_segments = static_cast<size_t>(a.compact_max_segments);
+  FTL_RETURN_NOT_OK(BlockingFromArgs(a, &so.blocking_mode, &so.blocking));
   return so;
+}
+
+bool EndsWith(const std::string& s, const std::string& suffix) {
+  return s.size() >= suffix.size() &&
+         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+/// Writes the metrics snapshot for --metrics-out (.prom/.txt:
+/// Prometheus text, otherwise JSON). Uses a plain ofstream rather than
+/// io::WriteTextFile so armed IO failpoints cannot block the
+/// observability channel that would report them.
+Status WriteMetricsSnapshot(const std::string& path) {
+  std::ofstream f(path, std::ios::out | std::ios::trunc);
+  if (!f) {
+    return Status::IOError("cannot open metrics output '" + path + "'");
+  }
+  if (EndsWith(path, ".prom") || EndsWith(path, ".txt")) {
+    f << obs::DumpPrometheus();
+  } else {
+    f << obs::DumpJson() << "\n";
+  }
+  f.flush();
+  if (!f) {
+    return Status::IOError("failed writing metrics output '" + path + "'");
+  }
+  return Status::OK();
 }
 
 void PrintRecoveryInfo(const store::RecoveryInfo& info, std::ostream& out) {
@@ -379,20 +245,22 @@ void PrintRecoveryInfo(const store::RecoveryInfo& info, std::ostream& out) {
   out << " in " << info.seconds << "s\n";
 }
 
-}  // namespace
+constexpr Flag kIngestFlags[] = {
+    {"store", &Args::store, "DIR", kRequired,
+     "store directory; created on first use"},
+    {"in", &Args::in, "FILE", kRequired, "trajectories to append"},
+    {"flush", &Args::flush, "", nullptr,
+     "force a final flush after ingesting"},
+};
 
-Status CmdIngest(const ArgMap& args, std::ostream& out) {
-  std::string dir = args.Get("store", "");
-  if (dir.empty()) {
-    return Status::InvalidArgument("ingest needs --store DIR");
-  }
-  auto db = LoadDb(args, "in", out);
+Status CmdIngest(const Args& a, std::ostream& out) {
+  auto so = StoreOptionsFromArgs(a);
+  if (!so.ok()) return so.status();
+  auto db = LoadDb(a.in, a, "in", out);
   if (!db.ok()) return db.status();
 
-  auto so = StoreOptionsFromArgs(args);
-  if (!so.ok()) return so.status();
   store::RecoveryInfo info;
-  auto opened = store::Store::Open(dir, so.value(), &info);
+  auto opened = store::Store::Open(a.store, so.value(), &info);
   if (!opened.ok()) return opened.status();
   store::Store& store = *opened.value();
   PrintRecoveryInfo(info, out);
@@ -417,24 +285,20 @@ Status CmdIngest(const ArgMap& args, std::ostream& out) {
     ++batches;
     records += batch.rows.size();
   }
-  if (args.Has("flush")) {
-    FTL_RETURN_NOT_OK(store.Flush());
-  }
+  if (a.flush) FTL_RETURN_NOT_OK(store.Flush());
   // With a trigger configured, pack the segments before exiting — the
   // one-shot CLI has no background thread, so compaction runs inline.
-  size_t compaction_rounds = 0;
   while (store.CompactionDue()) {
     auto cr = store.CompactOnce();
     if (!cr.ok()) return cr.status();
     if (cr.value().inputs == 0) break;
-    ++compaction_rounds;
     out << "compacted " << cr.value().inputs << " segment(s) ("
         << cr.value().input_records << " record(s)) into 1 in "
         << cr.value().seconds << "s: generation " << cr.value().generation
         << "\n";
   }
   out << "ingested " << batches << " trajectory(ies) (" << records
-      << " record(s)) into " << dir << ": generation "
+      << " record(s)) into " << a.store << ": generation "
       << store.generation() << ", " << store.num_segments()
       << " segment(s), " << store.memtable_records()
       << " memtable record(s), " << store.total_records()
@@ -443,60 +307,66 @@ Status CmdIngest(const ArgMap& args, std::ostream& out) {
   return Status::OK();
 }
 
-Status CmdSimulate(const ArgMap& args, std::ostream& out) {
-  std::string out_p = args.Get("out-p", "");
-  std::string out_q = args.Get("out-q", "");
-  if (out_p.empty() || out_q.empty()) {
-    return Status::InvalidArgument("simulate needs --out-p and --out-q");
-  }
-  std::string config_name = args.Get("config", "SF");
-  sim::DatasetConfig config = sim::FindConfig(config_name);
+constexpr Flag kSimulateFlags[] = {
+    {"out-p", &Args::out_p, "FILE", kRequired, "CSV to write P to"},
+    {"out-q", &Args::out_q, "FILE", kRequired, "CSV to write Q to"},
+    {"config", &Args::config, "NAME", "SF",
+     "dataset configuration, SA..SF or TA..TF"},
+    {"objects", &Args::objects, "N", "200", "objects to simulate", 0},
+    {"seed", &Args::seed, "S", "1", "simulation seed"},
+};
+
+Status CmdSimulate(const Args& a, std::ostream& out) {
+  sim::DatasetConfig config = sim::FindConfig(a.config);
   if (config.name.empty()) {
-    return Status::InvalidArgument("unknown config '" + config_name +
+    return Status::InvalidArgument("unknown config '" + a.config +
                                    "' (expected SA..SF or TA..TF)");
   }
-  auto objects = args.GetInt("objects", 200);
-  if (!objects.ok()) return objects.status();
-  auto seed = args.GetInt("seed", 1);
-  if (!seed.ok()) return seed.status();
   sim::DatasetPair pair =
-      sim::BuildDataset(config, static_cast<size_t>(objects.value()),
-                        static_cast<uint64_t>(seed.value()));
-  FTL_RETURN_NOT_OK(io::WriteCsv(pair.p, out_p));
-  FTL_RETURN_NOT_OK(io::WriteCsv(pair.q, out_q));
+      sim::BuildDataset(config, static_cast<size_t>(a.objects),
+                        static_cast<uint64_t>(a.seed));
+  FTL_RETURN_NOT_OK(io::WriteCsv(pair.p, a.out_p));
+  FTL_RETURN_NOT_OK(io::WriteCsv(pair.q, a.out_q));
   out << "simulated " << config.name << ": wrote " << pair.p.size()
       << " trajectories (" << pair.p.TotalRecords() << " records) to "
-      << out_p << ", " << pair.q.size() << " trajectories ("
-      << pair.q.TotalRecords() << " records) to " << out_q << "\n";
+      << a.out_p << ", " << pair.q.size() << " trajectories ("
+      << pair.q.TotalRecords() << " records) to " << a.out_q << "\n";
   return Status::OK();
 }
 
-Status CmdStats(const ArgMap& args, std::ostream& out) {
-  auto db = LoadDb(args, "db", out);
+constexpr Flag kStatsFlags[] = {
+    {"db", &Args::db, "FILE", kRequired, "database to summarize"},
+};
+
+Status CmdStats(const Args& a, std::ostream& out) {
+  auto db = LoadDb(a.db, a, "db", out);
   if (!db.ok()) return db.status();
   out << "database: " << db.value().name() << "\n"
       << traj::ToString(traj::Summarize(db.value())) << "\n";
   return Status::OK();
 }
 
-Status CmdTrain(const ArgMap& args, std::ostream& out) {
-  auto p = LoadDb(args, "p", out);
+constexpr Flag kTrainFlags[] = {
+    kP, kQ,
+    {"out-rejection", &Args::out_rejection, "FILE", kRequired,
+     "where to write the rejection model Mr"},
+    {"out-acceptance", &Args::out_acceptance, "FILE", kRequired,
+     "where to write the acceptance model Ma"},
+    kThreads,
+};
+
+Status CmdTrain(const Args& a, std::ostream& out) {
+  auto p = LoadDb(a.p, a, "p", out);
   if (!p.ok()) return p.status();
-  auto q = LoadDb(args, "q", out);
+  auto q = LoadDb(a.q, a, "q", out);
   if (!q.ok()) return q.status();
-  std::string out_rej = args.Get("out-rejection", "");
-  std::string out_acc = args.Get("out-acceptance", "");
-  if (out_rej.empty() || out_acc.empty()) {
-    return Status::InvalidArgument(
-        "train needs --out-rejection and --out-acceptance");
-  }
-  auto eo = EngineOptionsFromArgs(args);
-  if (!eo.ok()) return eo.status();
   auto models = core::BuildModels(p.value(), q.value(),
-                                  eo.value().training);
+                                  EngineOptionsFromArgs(a).training);
   if (!models.ok()) return models.status();
-  FTL_RETURN_NOT_OK(io::WriteModel(models.value().rejection, out_rej));
-  FTL_RETURN_NOT_OK(io::WriteModel(models.value().acceptance, out_acc));
+  FTL_RETURN_NOT_OK(io::WriteModel(models.value().rejection,
+                                   a.out_rejection));
+  FTL_RETURN_NOT_OK(io::WriteModel(models.value().acceptance,
+                                   a.out_acceptance));
   out << "trained models on " << p.value().size() << " x "
       << q.value().size() << " trajectories\n"
       << "rejection:  " << models.value().rejection.ToString() << "\n"
@@ -504,22 +374,30 @@ Status CmdTrain(const ArgMap& args, std::ostream& out) {
   return Status::OK();
 }
 
-Status CmdLink(const ArgMap& args, std::ostream& out) {
-  auto p = LoadDb(args, "p", out);
-  if (!p.ok()) return p.status();
-  auto q = LoadDb(args, "q", out);
-  if (!q.ok()) return q.status();
-  auto eo = EngineOptionsFromArgs(args);
-  if (!eo.ok()) return eo.status();
-  auto matcher = MatcherFromArgs(args);
+constexpr Flag kLinkFlags[] = {
+    kP, kQ,
+    {"query", &Args::query, "LABEL", nullptr,
+     "link only this P trajectory (default: every one)"},
+    kMatcher,
+    {"top", &Args::top, "K", "10", "candidates printed per query", 0},
+    {"json", &Args::json, "", nullptr,
+     "print one JSON document per query: the serve API's wire format"},
+    kThreads,
+};
+
+Status CmdLink(const Args& a, std::ostream& out) {
+  core::EngineOptions eo = EngineOptionsFromArgs(a);
+  auto matcher = core::ParseMatcher(a.matcher);
   if (!matcher.ok()) return matcher.status();
-  auto top = args.GetInt("top", 10);
-  if (!top.ok()) return top.status();
   core::BlockingMode blocking_mode = core::BlockingMode::kOff;
   core::BlockingOptions blocking_opts;
-  FTL_RETURN_NOT_OK(BlockingFromArgs(args, &blocking_mode, &blocking_opts));
+  FTL_RETURN_NOT_OK(BlockingFromArgs(a, &blocking_mode, &blocking_opts));
+  auto p = LoadDb(a.p, a, "p", out);
+  if (!p.ok()) return p.status();
+  auto q = LoadDb(a.q, a, "q", out);
+  if (!q.ok()) return q.status();
 
-  core::FtlEngine engine(eo.value());
+  core::FtlEngine engine(eo);
   FTL_RETURN_NOT_OK(engine.Train(p.value(), q.value()));
   // Q becomes a one-segment snapshot, scored exactly as `ftl serve`
   // scores it (DESIGN.md §11); it carries Q's blocking index.
@@ -529,11 +407,10 @@ Status CmdLink(const ArgMap& args, std::ostream& out) {
   if (!snap.ok()) return snap.status();
 
   std::vector<size_t> query_indices;
-  if (args.Has("query")) {
-    size_t idx = p.value().Find(args.Get("query", ""));
+  if (!a.query.empty()) {
+    size_t idx = p.value().Find(a.query);
     if (idx == traj::TrajectoryDatabase::npos) {
-      return Status::NotFound("query label '" + args.Get("query", "") +
-                              "' not in P");
+      return Status::NotFound("query label '" + a.query + "' not in P");
     }
     query_indices.push_back(idx);
   } else {
@@ -543,9 +420,9 @@ Status CmdLink(const ArgMap& args, std::ostream& out) {
   for (size_t qi : query_indices) {
     const auto& query = p.value()[qi];
     auto result = snap.value()->Query(engine, query, matcher.value(), nullptr,
-                                      eo.value().num_threads);
+                                      eo.num_threads);
     if (!result.ok()) return result.status();
-    if (args.Has("json")) {
+    if (a.json) {
       // One JSON document per query, byte-identical to what the serve
       // daemon's /v1/query endpoint returns for the same inputs (both
       // call the same snapshot entry point and serializer).
@@ -556,7 +433,7 @@ Status CmdLink(const ArgMap& args, std::ostream& out) {
         << " candidate(s)";
     size_t shown = 0;
     for (const auto& c : result.value().candidates) {
-      if (shown++ >= static_cast<size_t>(top.value())) break;
+      if (shown++ >= static_cast<size_t>(a.top)) break;
       out << (shown == 1 ? ": " : ", ") << c.label << "("
           << FormatDouble(c.score, 4) << ")";
     }
@@ -565,40 +442,49 @@ Status CmdLink(const ArgMap& args, std::ostream& out) {
   return Status::OK();
 }
 
-Status CmdExport(const ArgMap& args, std::ostream& out) {
-  auto db = LoadDb(args, "db", out);
+constexpr Flag kExportFlags[] = {
+    {"db", &Args::db, "FILE", kRequired, "database to convert"},
+    {"out", &Args::out, "FILE", kRequired, "GeoJSON file to write"},
+};
+
+Status CmdExport(const Args& a, std::ostream& out) {
+  auto db = LoadDb(a.db, a, "db", out);
   if (!db.ok()) return db.status();
-  std::string path = args.Get("out", "");
-  if (path.empty()) return Status::InvalidArgument("export needs --out");
-  FTL_RETURN_NOT_OK(io::WriteGeoJson(db.value(), path));
-  out << "wrote " << db.value().size() << " features to " << path << "\n";
+  FTL_RETURN_NOT_OK(io::WriteGeoJson(db.value(), a.out));
+  out << "wrote " << db.value().size() << " features to " << a.out << "\n";
   return Status::OK();
 }
 
-Status CmdValidate(const ArgMap& args, std::ostream& out) {
-  auto db = LoadDb(args, "db", out);
+constexpr Flag kValidateFlags[] = {
+    {"db", &Args::db, "FILE", kRequired, "database to audit"},
+    {"sanitized-out", &Args::sanitized_out, "FILE", nullptr,
+     "also write a sanitized copy to FILE"},
+};
+
+Status CmdValidate(const Args& a, std::ostream& out) {
+  auto db = LoadDb(a.db, a, "db", out);
   if (!db.ok()) return db.status();
   auto report = traj::ValidateDatabase(db.value());
   out << report.ToString() << "\n";
-  if (args.Has("sanitized-out")) {
+  if (!a.sanitized_out.empty()) {
     auto clean = traj::Sanitize(db.value());
-    FTL_RETURN_NOT_OK(io::WriteCsv(clean, args.Get("sanitized-out", "")));
+    FTL_RETURN_NOT_OK(io::WriteCsv(clean, a.sanitized_out));
     out << "sanitized copy (" << clean.size() << " trajectories, "
         << clean.TotalRecords() << " records) written to "
-        << args.Get("sanitized-out", "") << "\n";
+        << a.sanitized_out << "\n";
   }
   return Status::OK();
 }
 
-Status CmdDiagnose(const ArgMap& args, std::ostream& out) {
-  auto p = LoadDb(args, "p", out);
+constexpr Flag kDiagnoseFlags[] = {kP, kQ, kThreads};
+
+Status CmdDiagnose(const Args& a, std::ostream& out) {
+  auto p = LoadDb(a.p, a, "p", out);
   if (!p.ok()) return p.status();
-  auto q = LoadDb(args, "q", out);
+  auto q = LoadDb(a.q, a, "q", out);
   if (!q.ok()) return q.status();
-  auto eo = EngineOptionsFromArgs(args);
-  if (!eo.ok()) return eo.status();
   auto models = core::BuildModels(p.value(), q.value(),
-                                  eo.value().training);
+                                  EngineOptionsFromArgs(a).training);
   if (!models.ok()) return models.status();
   auto diag = core::DiagnoseModels(models.value());
   out << diag.ToString() << "\n";
@@ -607,26 +493,29 @@ Status CmdDiagnose(const ArgMap& args, std::ostream& out) {
   return Status::OK();
 }
 
-Status CmdCalibrate(const ArgMap& args, std::ostream& out) {
-  auto p = LoadDb(args, "p", out);
-  if (!p.ok()) return p.status();
-  auto q = LoadDb(args, "q", out);
-  if (!q.ok()) return q.status();
-  auto eo = EngineOptionsFromArgs(args);
-  if (!eo.ok()) return eo.status();
-  auto matcher = MatcherFromArgs(args);
-  if (!matcher.ok()) return matcher.status();
-  auto budget = args.GetDouble("budget", 10.0);
-  if (!budget.ok()) return budget.status();
-  auto queries = args.GetInt("queries", 50);
-  if (!queries.ok()) return queries.status();
+constexpr Flag kCalibrateFlags[] = {
+    kP, kQ, kMatcher,
+    {"budget", &Args::budget, "B", "10",
+     "target mean candidates per query", 0},
+    {"queries", &Args::queries, "N", "50",
+     "calibration queries sampled from P", 1},
+    kThreads,
+};
 
-  core::FtlEngine engine(eo.value());
+Status CmdCalibrate(const Args& a, std::ostream& out) {
+  auto matcher = core::ParseMatcher(a.matcher);
+  if (!matcher.ok()) return matcher.status();
+  auto p = LoadDb(a.p, a, "p", out);
+  if (!p.ok()) return p.status();
+  auto q = LoadDb(a.q, a, "q", out);
+  if (!q.ok()) return q.status();
+
+  core::FtlEngine engine(EngineOptionsFromArgs(a));
   FTL_RETURN_NOT_OK(engine.Train(p.value(), q.value()));
   eval::CalibrationTarget target;
-  target.max_mean_candidates = budget.value();
+  target.max_mean_candidates = a.budget;
   eval::WorkloadOptions wo;
-  wo.num_queries = static_cast<size_t>(queries.value());
+  wo.num_queries = static_cast<size_t>(a.queries);
   auto result = eval::AutoCalibrate(engine, p.value(), q.value(),
                                     matcher.value(), target, wo);
   if (!result.ok()) return result.status();
@@ -638,40 +527,45 @@ Status CmdCalibrate(const ArgMap& args, std::ostream& out) {
         << " alpha2=" << FormatDouble(r.alpha2, 6) << "\n";
   }
   out << "mean candidates/query " << FormatDouble(r.mean_candidates, 2)
-      << " (budget " << FormatDouble(budget.value(), 1)
+      << " (budget " << FormatDouble(a.budget, 1)
       << "), perceptiveness " << FormatDouble(r.perceptiveness, 3)
       << ", selectiveness " << FormatDouble(r.selectiveness, 5) << "\n";
   if (!r.feasible) {
     out << "warning: budget infeasible -- even the strictest grid point "
            "exceeds "
-        << FormatDouble(budget.value(), 1)
+        << FormatDouble(a.budget, 1)
         << " mean candidates/query; returned setting is the strictest "
            "available\n";
   }
   return Status::OK();
 }
 
-Status CmdEnrich(const ArgMap& args, std::ostream& out) {
-  auto p = LoadDb(args, "p", out);
+constexpr Flag kEnrichFlags[] = {
+    kP, kQ,
+    {"query", &Args::query, "LABEL", kRequired, "the P trajectory"},
+    {"candidate", &Args::candidate, "LABEL", kRequired,
+     "the Q trajectory it links to"},
+    kVmax,
+};
+
+Status CmdEnrich(const Args& a, std::ostream& out) {
+  auto p = LoadDb(a.p, a, "p", out);
   if (!p.ok()) return p.status();
-  auto q = LoadDb(args, "q", out);
+  auto q = LoadDb(a.q, a, "q", out);
   if (!q.ok()) return q.status();
-  size_t pi = p.value().Find(args.Get("query", ""));
+  size_t pi = p.value().Find(a.query);
   if (pi == traj::TrajectoryDatabase::npos) {
-    return Status::NotFound("query label '" + args.Get("query", "") +
-                            "' not in P");
+    return Status::NotFound("query label '" + a.query + "' not in P");
   }
-  size_t qi = q.value().Find(args.Get("candidate", ""));
+  size_t qi = q.value().Find(a.candidate);
   if (qi == traj::TrajectoryDatabase::npos) {
-    return Status::NotFound("candidate label '" +
-                            args.Get("candidate", "") + "' not in Q");
+    return Status::NotFound("candidate label '" + a.candidate +
+                            "' not in Q");
   }
   core::EnrichmentOptions opts;
   opts.p_source_name = "P";
   opts.q_source_name = "Q";
-  auto vmax = args.GetDouble("vmax-kph", 120.0);
-  if (!vmax.ok()) return vmax.status();
-  opts.vmax_mps = geo::KphToMps(vmax.value());
+  opts.vmax_mps = geo::KphToMps(a.vmax_kph);
   auto enriched = core::Enrich(p.value()[pi], q.value()[qi], opts);
   if (!enriched.ok()) return enriched.status();
   out << core::ToTableString(enriched.value(), 30);
@@ -682,57 +576,105 @@ Status CmdEnrich(const ArgMap& args, std::ostream& out) {
   return Status::OK();
 }
 
-Status CmdConvert(const ArgMap& args, std::ostream& out) {
-  auto db = LoadDb(args, "in", out);
+constexpr Flag kConvertFlags[] = {
+    {"in", &Args::in, "FILE", kRequired, "database to convert"},
+    {"out", &Args::out, "FILE", kRequired, "file to write"},
+    {"to", &Args::to, "ftb|csv", nullptr,
+     "output format (default: csv for a .csv output, else ftb)"},
+};
+
+Status CmdConvert(const Args& a, std::ostream& out) {
+  auto db = LoadDb(a.in, a, "in", out);
   if (!db.ok()) return db.status();
-  std::string out_path = args.Get("out", "");
-  if (out_path.empty()) {
-    return Status::InvalidArgument("convert needs --out");
-  }
-  std::string to = args.Get("to", "");
-  if (to.empty()) {
-    // Infer the target from the output extension; FTB is the default
-    // (the whole point of converting).
-    bool csv = out_path.size() >= 4 &&
-               out_path.compare(out_path.size() - 4, 4, ".csv") == 0;
-    to = csv ? "csv" : "ftb";
-  }
-  if (to == "ftb") {
-    traj::FlatDatabase flat = traj::FlatDatabase::FromDatabase(db.value());
-    FTL_RETURN_NOT_OK(io::WriteFtb(flat, out_path));
-    out << "wrote " << flat.size() << " trajectories ("
-        << flat.TotalRecords() << " records) to " << out_path << " (FTB)\n";
-  } else if (to == "csv") {
-    FTL_RETURN_NOT_OK(io::WriteCsv(db.value(), out_path));
+  // Without --to, the output extension picks the format; FTB is the
+  // default (the whole point of converting).
+  if (a.to == "csv" || (a.to.empty() && EndsWith(a.out, ".csv"))) {
+    FTL_RETURN_NOT_OK(io::WriteCsv(db.value(), a.out));
     out << "wrote " << db.value().size() << " trajectories ("
-        << db.value().TotalRecords() << " records) to " << out_path
+        << db.value().TotalRecords() << " records) to " << a.out
         << " (CSV)\n";
   } else {
-    return Status::InvalidArgument("--to expects ftb|csv, got '" + to + "'");
+    traj::FlatDatabase flat = traj::FlatDatabase::FromDatabase(db.value());
+    FTL_RETURN_NOT_OK(io::WriteFtb(flat, a.out));
+    out << "wrote " << flat.size() << " trajectories ("
+        << flat.TotalRecords() << " records) to " << a.out << " (FTB)\n";
   }
   return Status::OK();
 }
 
-Status CmdServe(const ArgMap& args, std::ostream& out) {
-  auto p = LoadDb(args, "p", out);
-  if (!p.ok()) return p.status();
+constexpr Flag kServeFlags[] = {
+    kP,
+    {"ftb", &Args::ftb, "FILE", nullptr,
+     "candidate shard, repeatable; shards merge in flag order"},
+    {"q", &Args::q_shards, "FILE", nullptr,
+     "a shard like --ftb, merged after every --ftb shard"},
+    {"store", &Args::store, "DIR", nullptr,
+     "serve a live store that /v1/ingest appends to, not shards"},
+    {"listen", &Args::listen, "HOST:PORT", "127.0.0.1:8080", "bind address"},
+    {"threads", &Args::workers, "N", nullptr,
+     "worker threads (default: hardware threads / --query-threads)", 1},
+    {"query-threads", &Args::query_threads, "N", "1",
+     "threads sharding each query; results stay byte-identical", 1},
+    {"max-queue", &Args::max_queue, "N", "128",
+     "bounded request queue; beyond it requests get 503", 1},
+    {"request-deadline-ms", &Args::request_deadline_ms, "MS", "0",
+     "default request deadline; 408 with a partial result (0: none)", 0},
+    kMatcher,
+};
 
+Status CmdServe(const Args& a, std::ostream& out) {
   // Candidate side: either static shards (--ftb/--q, merged in flag
   // order) or a live store (--store DIR) that /v1/ingest appends to.
-  const std::string store_dir = args.Get("store", "");
-  std::vector<std::string> shard_paths = args.GetAll("ftb");
-  for (const auto& path : args.GetAll("q")) shard_paths.push_back(path);
-  if (store_dir.empty() && shard_paths.empty()) {
+  std::vector<std::string> shard_paths = a.ftb;
+  shard_paths.insert(shard_paths.end(), a.q_shards.begin(),
+                     a.q_shards.end());
+  if (a.store.empty() == shard_paths.empty()) {
     return Status::InvalidArgument(
-        "serve needs --store DIR or at least one --ftb (or --q) shard");
+        a.store.empty()
+            ? "serve needs --store DIR or at least one --ftb (or --q) shard"
+            : "--store and --ftb/--q are mutually exclusive");
   }
-  if (!store_dir.empty() && !shard_paths.empty()) {
-    return Status::InvalidArgument(
-        "--store and --ftb/--q are mutually exclusive");
+
+  serve::ServeOptions so;
+  size_t colon = a.listen.rfind(':');
+  int64_t port = 0;
+  if (colon == std::string::npos || colon == 0 ||
+      !ParseInt64(a.listen.substr(colon + 1), &port) || port < 0 ||
+      port > 65535) {
+    return Status::InvalidArgument("--listen expects HOST:PORT, got '" +
+                                   a.listen + "'");
   }
+  so.host = a.listen.substr(0, colon);
+  so.port = static_cast<int>(port);
+  // Worker-pool parallelism across requests, serial inside each query;
+  // --threads sizes the pool, not the engine (0 = hardware concurrency).
+  so.num_threads = static_cast<size_t>(a.workers);
+  so.max_queue = static_cast<size_t>(a.max_queue);
+  so.request_deadline_ms = a.request_deadline_ms;
+  so.store_query_threads = static_cast<size_t>(a.query_threads);
+  if (a.workers == 0 && so.store_query_threads > 1) {
+    // Keep workers x query-threads within the machine when --threads is
+    // left to default.
+    size_t hw = std::thread::hardware_concurrency();
+    if (hw == 0) hw = 1;
+    size_t sized = hw / so.store_query_threads;
+    so.num_threads = sized > 0 ? sized : 1;
+  }
+  auto matcher = core::ParseMatcher(a.matcher);
+  if (!matcher.ok()) return matcher.status();
+  so.default_matcher = matcher.value();
+  // --blocking reaches a static Q's one-segment snapshot and a store's
+  // per-segment indices alike through the store options.
+  auto sto = StoreOptionsFromArgs(a);
+  if (!sto.ok()) return sto.status();
+  core::EngineOptions engine_opts = EngineOptionsFromArgs(a);
+  engine_opts.num_threads = 1;
+
+  auto p = LoadDb(a.p, a, "p", out);
+  if (!p.ok()) return p.status();
   traj::TrajectoryDatabase q("Q");
   for (const auto& path : shard_paths) {
-    auto shard = LoadDbFromPath(path, args, "ftb", out);
+    auto shard = LoadDb(path, a, "ftb", out);
     if (!shard.ok()) return shard.status();
     if (shard_paths.size() == 1) {
       q = std::move(shard).value();
@@ -747,63 +689,6 @@ Status CmdServe(const ArgMap& args, std::ostream& out) {
     }
   }
 
-  auto eo = EngineOptionsFromArgs(args);
-  if (!eo.ok()) return eo.status();
-  // Worker-pool parallelism across requests, serial inside each query;
-  // --threads sizes the pool, not the engine.
-  size_t workers = eo.value().num_threads;
-  if (!args.Has("threads")) workers = 0;  // 0 = hardware concurrency
-  core::EngineOptions engine_opts = eo.value();
-  engine_opts.num_threads = 1;
-
-  serve::ServeOptions so;
-  std::string listen = args.Get("listen", "127.0.0.1:8080");
-  size_t colon = listen.rfind(':');
-  int64_t port = 0;
-  if (colon == std::string::npos || colon == 0 ||
-      !ParseInt64(listen.substr(colon + 1), &port) || port < 0 ||
-      port > 65535) {
-    return Status::InvalidArgument("--listen expects HOST:PORT, got '" +
-                                   listen + "'");
-  }
-  so.host = listen.substr(0, colon);
-  so.port = static_cast<int>(port);
-  so.num_threads = workers;
-  auto max_queue = args.GetInt("max-queue", 128);
-  if (!max_queue.ok()) return max_queue.status();
-  if (max_queue.value() < 1) {
-    return Status::InvalidArgument("--max-queue must be at least 1");
-  }
-  so.max_queue = static_cast<size_t>(max_queue.value());
-  auto deadline_ms = args.GetInt("request-deadline-ms", 0);
-  if (!deadline_ms.ok()) return deadline_ms.status();
-  if (deadline_ms.value() < 0) {
-    return Status::InvalidArgument("--request-deadline-ms must be >= 0");
-  }
-  so.request_deadline_ms = deadline_ms.value();
-  auto qthreads = args.GetInt("query-threads", 1);
-  if (!qthreads.ok()) return qthreads.status();
-  if (qthreads.value() < 1) {
-    return Status::InvalidArgument("--query-threads must be at least 1");
-  }
-  so.store_query_threads = static_cast<size_t>(qthreads.value());
-  if (!args.Has("threads") && so.store_query_threads > 1) {
-    // Keep workers x query-threads within the machine when --threads is
-    // left to default.
-    size_t hw = std::thread::hardware_concurrency();
-    if (hw == 0) hw = 1;
-    size_t sized = hw / so.store_query_threads;
-    so.num_threads = sized > 0 ? sized : 1;
-  }
-  auto matcher = MatcherFromArgs(args);
-  if (!matcher.ok()) return matcher.status();
-  so.default_matcher = matcher.value();
-  // A static Q takes --blocking into its one-segment snapshot; store
-  // mode takes it via StoreOptionsFromArgs below (per-segment indices).
-  core::BlockingMode blocking_mode = core::BlockingMode::kOff;
-  core::BlockingOptions blocking_opts;
-  FTL_RETURN_NOT_OK(BlockingFromArgs(args, &blocking_mode, &blocking_opts));
-
   core::FtlEngine engine(engine_opts);
 
   // SIGTERM / SIGINT trigger the same graceful drain as
@@ -813,14 +698,12 @@ Status CmdServe(const ArgMap& args, std::ostream& out) {
   serve::InstallShutdownSignalHandlers(&stop_flag);
   so.stop_flag = &stop_flag;
 
-  if (!store_dir.empty()) {
+  if (!a.store.empty()) {
     // Store mode is two-phase: bind first so probes reach the process
     // (/readyz answers 503), then run the possibly-long recovery and
     // training behind the readiness gate.
-    auto sto = StoreOptionsFromArgs(args);
-    if (!sto.ok()) return sto.status();
     std::unique_ptr<store::Store> store =
-        store::Store::Create(store_dir, sto.value());
+        store::Store::Create(a.store, sto.value());
     so.start_ready = false;
     serve::FtlServer server(so, &engine, &p.value(), store.get());
     // Background compaction (--compact-trigger): started only after
@@ -828,7 +711,7 @@ Status CmdServe(const ArgMap& args, std::ostream& out) {
     store::Compactor compactor(store.get());
     FTL_RETURN_NOT_OK(server.Start());
     out << "listening on " << so.host << ":" << server.port()
-        << " (store=" << store_dir << ", warming up: /readyz is 503)\n";
+        << " (store=" << a.store << ", warming up: /readyz is 503)\n";
     out.flush();
     store::RecoveryInfo info;
     Status st = store->Recover(&info);
@@ -864,7 +747,8 @@ Status CmdServe(const ArgMap& args, std::ostream& out) {
 
   FTL_RETURN_NOT_OK(engine.Train(p.value(), q));
   auto snap = store::StoreSnapshot::Static(traj::FlatDatabase::FromDatabase(q),
-                                           blocking_mode, blocking_opts);
+                                           sto.value().blocking_mode,
+                                           sto.value().blocking);
   if (!snap.ok()) return snap.status();
   q = traj::TrajectoryDatabase();  // the snapshot holds Q from here on
   serve::FtlServer server(so, &engine, &p.value(), snap.value());
@@ -874,61 +758,249 @@ Status CmdServe(const ArgMap& args, std::ostream& out) {
       << (so.num_threads == 0 ? std::thread::hardware_concurrency()
                               : so.num_threads)
       << ", max-queue=" << so.max_queue << ", request-deadline-ms="
-      << so.request_deadline_ms
-      << ", matcher=" << args.Get("matcher", "nb") << ")\n";
+      << so.request_deadline_ms << ", matcher=" << a.matcher << ")\n";
   out.flush();
   server.Wait();
   out << "drained " << server.requests_handled() << " request(s); bye\n";
   return Status::OK();
 }
 
-Status CmdMetrics(const ArgMap& args, std::ostream& out) {
-  std::string format = args.Get("format", "prom");
-  if (format == "prom") {
-    out << obs::DumpPrometheus();
-  } else if (format == "json") {
+constexpr Flag kMetricsFlags[] = {
+    {"format", &Args::format, "prom|json", "prom", "exposition format"},
+};
+
+Status CmdMetrics(const Args& a, std::ostream& out) {
+  if (a.format == "json") {
     out << obs::DumpJson() << "\n";
   } else {
-    return Status::InvalidArgument("--format expects prom|json, got '" +
-                                   format + "'");
+    out << obs::DumpPrometheus();
   }
   return Status::OK();
 }
 
-namespace {
+struct Command {
+  const char* name;
+  const char* summary;
+  std::span<const Flag> flags;  ///< the command's own
+  unsigned groups;              ///< the shared groups it takes
+  Status (*run)(const Args&, std::ostream&);
+};
 
-/// True when `path` names a Prometheus-text output (.prom/.txt);
-/// everything else gets JSON.
-bool WantsPrometheus(const std::string& path) {
-  auto ends_with = [&path](const char* suffix) {
-    std::string s(suffix);
-    return path.size() >= s.size() &&
-           path.compare(path.size() - s.size(), s.size(), s) == 0;
-  };
-  return ends_with(".prom") || ends_with(".txt");
+constexpr Command kCommands[] = {
+    {"simulate", "generate a synthetic dataset pair", kSimulateFlags,
+     kGlobal, CmdSimulate},
+    {"stats", "print Table-I style statistics", kStatsFlags,
+     kInput | kGlobal, CmdStats},
+    {"train", "train and persist both models", kTrainFlags,
+     kEngine | kInput | kGlobal, CmdTrain},
+    {"link", "link query trajectories against Q", kLinkFlags,
+     kEngine | kBlocking | kInput | kGlobal, CmdLink},
+    {"export", "convert a database to GeoJSON", kExportFlags,
+     kInput | kGlobal, CmdExport},
+    {"validate", "audit data quality, optionally fix", kValidateFlags,
+     kInput | kGlobal, CmdValidate},
+    {"diagnose", "report model separability", kDiagnoseFlags,
+     kEngine | kInput | kGlobal, CmdDiagnose},
+    {"calibrate", "auto-pick thresholds for a candidate budget",
+     kCalibrateFlags, kEngine | kInput | kGlobal, CmdCalibrate},
+    {"enrich", "merge a linked pair (Figure 2)", kEnrichFlags,
+     kInput | kGlobal, CmdEnrich},
+    {"convert", "convert between CSV and the FTB binary columnar store",
+     kConvertFlags, kInput | kGlobal, CmdConvert},
+    {"metrics", "dump the process metrics registry", kMetricsFlags,
+     kGlobal, CmdMetrics},
+    {"ingest", "append trajectories to a crash-safe store (DESIGN.md §12)",
+     kIngestFlags, kStore | kBlocking | kInput | kGlobal, CmdIngest},
+    {"serve", "run the HTTP/1.1 JSON query daemon (docs/OPERATIONS.md)",
+     kServeFlags, kEngine | kBlocking | kStore | kInput | kGlobal,
+     CmdServe},
+};
+
+const Command* FindCommand(const std::string& name) {
+  for (const Command& c : kCommands) {
+    if (name == c.name) return &c;
+  }
+  return nullptr;
 }
 
-/// Writes the metrics snapshot for --metrics-out. Uses a plain ofstream
-/// rather than io::WriteTextFile so armed IO failpoints cannot block the
-/// observability channel that would report them.
-Status WriteMetricsSnapshot(const std::string& path) {
-  std::ofstream f(path, std::ios::out | std::ios::trunc);
-  if (!f) {
-    return Status::IOError("cannot open metrics output '" + path + "'");
+/// The command's own flags, then those of its shared groups.
+std::vector<const Flag*> FlagsOf(const Command& c) {
+  std::vector<const Flag*> flags;
+  for (const Flag& f : c.flags) flags.push_back(&f);
+  for (size_t g = 0; g < std::size(kGroups); ++g) {
+    if ((c.groups >> g & 1u) == 0) continue;
+    for (const Flag& f : kGroups[g].flags) flags.push_back(&f);
   }
-  if (WantsPrometheus(path)) {
-    f << obs::DumpPrometheus();
+  return flags;
+}
+
+/// Stores `text` as the value of `f` in `a`, checked against its type,
+/// choices and bounds.
+Status Set(const Flag& f, const std::string& text, Args* a) {
+  const std::string expects = "--" + std::string(f.name) + " expects ";
+  double num = 0;  // a numeric value, for the bounds check
+  if (auto m = std::get_if<BoolField>(&f.field)) {
+    a->**m = true;
+  } else if (auto m = std::get_if<ListField>(&f.field)) {
+    (a->**m).push_back(text);
+  } else if (auto m = std::get_if<std::string Args::*>(&f.field)) {
+    const std::vector<std::string> choices = Split(f.meta, '|');
+    if (choices.size() > 1 &&
+        std::find(choices.begin(), choices.end(), text) == choices.end()) {
+      return Status::InvalidArgument(expects + f.meta + ", got '" + text +
+                                     "'");
+    }
+    a->**m = text;
+  } else if (auto m = std::get_if<int64_t Args::*>(&f.field)) {
+    if (!ParseInt64(text, &(a->**m))) {
+      return Status::InvalidArgument(expects + "an integer, got '" + text +
+                                     "'");
+    }
+    num = static_cast<double>(a->**m);
+  } else if (auto m = std::get_if<double Args::*>(&f.field)) {
+    if (!ParseDouble(text, &(a->**m)) || !std::isfinite(a->**m)) {
+      return Status::InvalidArgument(expects + "a finite number, got '" +
+                                     text + "'");
+    }
+    num = a->**m;
+  }
+  if (num >= f.min && num <= f.max) return Status::OK();
+  std::ostringstream bound;
+  if (f.min == kPositive) {
+    bound << "> 0";
+  } else if (f.max == kInf) {
+    bound << ">= " << f.min;
   } else {
-    f << obs::DumpJson() << "\n";
+    bound << "in [" << f.min << ", " << f.max << "]";
   }
-  f.flush();
-  if (!f) {
-    return Status::IOError("failed writing metrics output '" + path + "'");
+  return Status::InvalidArgument("--" + std::string(f.name) + " must be " +
+                                 bound.str() + ", got '" + text + "'");
+}
+
+/// `lead` padded to column `col`, then `text` wrapped at 79 columns
+/// with continuation lines indented to `col`; a lead that reaches the
+/// column puts the text on the next line.
+std::string Wrap(const std::string& lead, size_t col,
+                 const std::string& text) {
+  std::string out;
+  std::string line = lead;
+  if (line.size() >= col) {
+    out = line + "\n";
+    line.clear();
   }
-  return Status::OK();
+  line.resize(col, ' ');
+  std::istringstream words(text);
+  for (std::string word; words >> word;) {
+    if (line.size() > col && line.size() + 1 + word.size() > 79) {
+      out += line + "\n";
+      line.assign(col, ' ');
+    }
+    line += (line.size() > col ? " " : "") + word;
+  }
+  return out + line + "\n";
+}
+
+std::string FlagUsage(const Flag& f) {
+  std::string lead = "    --" + std::string(f.name);
+  if (*f.meta != '\0') lead += " " + std::string(f.meta);
+  std::string help = f.help;
+  if (f.def == kRequired) {
+    help += " (required)";
+  } else if (f.def != nullptr) {
+    help += " (default " + std::string(f.def) + ")";
+  }
+  return Wrap(lead, 30, help);
 }
 
 }  // namespace
+
+Result<Args> ParseArgs(const std::string& command,
+                       const std::vector<std::string>& argv) {
+  const Command* c = FindCommand(command);
+  if (c == nullptr) {
+    return Status::InvalidArgument("unknown command '" + command + "'");
+  }
+  const std::vector<const Flag*> flags = FlagsOf(*c);
+  Args a;
+  for (const Flag* f : flags) {
+    if (f->def != nullptr && f->def != kRequired) {
+      FTL_RETURN_NOT_OK(Set(*f, f->def, &a));
+    }
+  }
+  std::vector<const Flag*> seen;
+  for (size_t i = 0; i < argv.size(); ++i) {
+    const std::string& tok = argv[i];
+    if (tok.size() <= 2 || !StartsWith(tok, "--")) {
+      return Status::InvalidArgument("expected --flag, got '" + tok + "'");
+    }
+    auto it = std::find_if(flags.begin(), flags.end(), [&](const Flag* f) {
+      return tok.compare(2, std::string::npos, f->name) == 0;
+    });
+    if (it == flags.end()) {
+      return Status::InvalidArgument("ftl " + command + " takes no flag " +
+                                     tok);
+    }
+    const Flag& f = **it;
+    if (!std::holds_alternative<ListField>(f.field) &&
+        std::find(seen.begin(), seen.end(), &f) != seen.end()) {
+      return Status::InvalidArgument(tok + " is given more than once");
+    }
+    seen.push_back(&f);
+    std::string value;
+    if (!std::holds_alternative<BoolField>(f.field)) {
+      if (i + 1 == argv.size() || argv[i + 1].empty() ||
+          StartsWith(argv[i + 1], "--")) {
+        return Status::InvalidArgument(tok + " needs a value");
+      }
+      value = argv[++i];
+    }
+    FTL_RETURN_NOT_OK(Set(f, value, &a));
+  }
+  for (const Flag* f : flags) {
+    if (f->def == kRequired &&
+        std::find(seen.begin(), seen.end(), f) == seen.end()) {
+      return Status::InvalidArgument("missing required --" +
+                                     std::string(f->name));
+    }
+  }
+  return a;
+}
+
+std::vector<std::string> FlagNames(const std::string& command) {
+  std::vector<std::string> names;
+  if (const Command* c = FindCommand(command)) {
+    for (const Flag* f : FlagsOf(*c)) names.push_back(f->name);
+  }
+  return names;
+}
+
+std::string UsageText() {
+  std::string u =
+      "ftl — fuzzy trajectory linking toolkit\n"
+      "\n"
+      "usage: ftl <command> [--flag value ...]\n"
+      "\n"
+      "commands:\n";
+  for (const Command& c : kCommands) {
+    u += Wrap("  " + std::string(c.name), 12, c.summary);
+    for (const Flag& f : c.flags) u += FlagUsage(f);
+    std::string groups;
+    for (size_t g = 0; g < std::size(kGroups); ++g) {
+      if ((c.groups >> g & 1u) == 0) continue;
+      groups += (groups.empty() ? "    + " : ", ") +
+                std::string(kGroups[g].title);
+    }
+    u += groups + " flags\n";
+  }
+  for (const Group& g : kGroups) {
+    u += "\n" + std::string(g.title) + " flags:\n";
+    for (const Flag& f : g.flags) u += FlagUsage(f);
+  }
+  return u +
+         "\nAny --p/--q/--db/--in input may be a .ftb file (sniffed by magic\n"
+         "bytes) instead of CSV. A flag the command does not take, a repeated\n"
+         "flag (only --ftb and --q repeat) or a bad value exits 2.\n";
+}
 
 int RunCli(const std::vector<std::string>& args, std::ostream& out) {
   return RunCli(args, out, out);
@@ -947,56 +1019,30 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
     out << UsageText();
     return args.empty() ? 1 : 0;
   }
-  std::string cmd = args[0];
-  auto parsed = ArgMap::Parse({args.begin() + 1, args.end()});
-  if (!parsed.ok()) {
-    err << "error: " << parsed.status().ToString() << "\n";
+  const Command* cmd = FindCommand(args[0]);
+  if (cmd == nullptr) {
+    err << "error: unknown command '" << args[0] << "'\n" << UsageText();
     return 1;
   }
-  if (parsed.value().Has("failpoints")) {
-    Status fp = failpoint::Configure(parsed.value().Get("failpoints", ""));
+  auto parsed = ParseArgs(cmd->name, {args.begin() + 1, args.end()});
+  if (!parsed.ok()) {
+    err << "error: " << parsed.status().ToString() << "\n";
+    return ExitCodeForStatus(parsed.status());
+  }
+  const Args& a = parsed.value();
+  if (!a.failpoints.empty()) {
+    Status fp = failpoint::Configure(a.failpoints);
     if (!fp.ok()) {
       err << "error: " << fp.ToString() << "\n";
       return ExitCodeForStatus(fp);
     }
   }
-  Status st;
-  if (cmd == "simulate") {
-    st = CmdSimulate(parsed.value(), out);
-  } else if (cmd == "stats") {
-    st = CmdStats(parsed.value(), out);
-  } else if (cmd == "train") {
-    st = CmdTrain(parsed.value(), out);
-  } else if (cmd == "link") {
-    st = CmdLink(parsed.value(), out);
-  } else if (cmd == "export") {
-    st = CmdExport(parsed.value(), out);
-  } else if (cmd == "validate") {
-    st = CmdValidate(parsed.value(), out);
-  } else if (cmd == "diagnose") {
-    st = CmdDiagnose(parsed.value(), out);
-  } else if (cmd == "calibrate") {
-    st = CmdCalibrate(parsed.value(), out);
-  } else if (cmd == "enrich") {
-    st = CmdEnrich(parsed.value(), out);
-  } else if (cmd == "convert") {
-    st = CmdConvert(parsed.value(), out);
-  } else if (cmd == "metrics") {
-    st = CmdMetrics(parsed.value(), out);
-  } else if (cmd == "ingest") {
-    st = CmdIngest(parsed.value(), out);
-  } else if (cmd == "serve") {
-    st = CmdServe(parsed.value(), out);
-  } else {
-    err << "error: unknown command '" << cmd << "'\n" << UsageText();
-    return 1;
-  }
+  Status st = cmd->run(a, out);
   // The snapshot is written even when the command failed: counters
   // explaining the failure (quarantines, failpoint trips, truncations)
   // are exactly what a post-mortem wants.
-  std::string metrics_out = parsed.value().Get("metrics-out", "");
-  if (!metrics_out.empty()) {
-    Status ms = WriteMetricsSnapshot(metrics_out);
+  if (!a.metrics_out.empty()) {
+    Status ms = WriteMetricsSnapshot(a.metrics_out);
     if (!ms.ok()) {
       err << "error: " << ms.ToString() << "\n";
       if (st.ok()) return ExitCodeForStatus(ms);

@@ -2,53 +2,15 @@
 #define FTL_TOOLS_CLI_H_
 
 /// \file cli.h
-/// The `ftl` command-line tool, factored as a library so every
-/// subcommand is unit-testable.
-///
-/// Subcommands:
-///   ftl simulate --out-p p.csv --out-q q.csv [--config SF] [--objects N]
-///   ftl stats    --db data.csv
-///   ftl train    --p p.csv --q q.csv --out-rejection r.model
-///                --out-acceptance a.model
-///   ftl link     --p p.csv --q q.csv [--query LABEL] [--matcher nb|alpha]
-///                [--phi 0.01 | --alpha1 0.01 --alpha2 0.1] [--top K]
-///                [--json]
-///   ftl export   --db data.csv --out data.geojson
-///   ftl validate --db data.csv [--sanitized-out clean.csv]
-///   ftl diagnose --p p.csv --q q.csv
-///   ftl calibrate --p p.csv --q q.csv [--matcher nb|alpha]
-///                 [--budget 10] [--queries 50]
-///   ftl enrich   --p p.csv --q q.csv --query LABEL --candidate LABEL
-///   ftl convert  --in data.csv --out data.ftb [--to ftb|csv]
-///   ftl metrics  [--format prom|json]
-///   ftl ingest   --store DIR --in data.csv [--wal-sync always|interval|never]
-///                [--flush-threshold N] [--flush]
-///                append trajectories to a crash-safe store (DESIGN.md §12)
-///   ftl serve    --p p.csv --ftb q.ftb [--ftb more.ftb ...]
-///                [--listen 127.0.0.1:8080] [--threads N] [--max-queue 128]
-///                [--request-deadline-ms MS] [--matcher nb|alpha]
-///                run the long-lived query daemon (docs/OPERATIONS.md);
-///                with --store DIR instead of --ftb the candidate side is
-///                a live store: POST /v1/ingest appends, queries see new
-///                data immediately, /readyz gates the warm-up
-///
-/// Any `--p` / `--q` / `--db` / `--in` input may be an FTB binary store
-/// instead of CSV; the format is detected by magic bytes, not
-/// extension.
-///
-/// Every subcommand returns a Status and writes human-readable output to
-/// the provided stream. Global flags:
-///   --failpoints SPEC   arm fault-injection sites ("site=action[:arg];...")
-///                       for this invocation; FTL_FAILPOINTS in the
-///                       environment does the same.
-///   --lenient           load CSVs in quarantine mode: malformed rows are
-///                       reported and skipped instead of failing the load.
-///   --quarantine-out F  with --lenient, write quarantined rows of each
-///                       input to F.<flag>.csv (e.g. F.p.csv, F.q.csv).
-///   --metrics-out F     after the command runs (even on failure), write
-///                       a snapshot of the process metrics registry to F
-///                       (.prom/.txt: Prometheus text; otherwise JSON).
+/// The `ftl` command-line tool as a library, so every subcommand is
+/// unit-testable. Each command's flags, with their defaults, bounds and
+/// help, are declared once, in a table in cli.cc that both the parser
+/// and `ftl help` read. Commands map their Status to an exit code with
+/// ExitCodeForStatus (util/status.h). A command line the table rejects
+/// exits 2 before anything runs; exit 1 is left for no arguments and an
+/// unknown command.
 
+#include <cstdint>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -57,34 +19,50 @@
 
 namespace ftl::tools {
 
-/// Parsed `--key value` arguments (flags without values get "true").
-class ArgMap {
- public:
-  /// Parses argv-style tokens after the subcommand name.
-  static Result<ArgMap> Parse(const std::vector<std::string>& args);
-
-  /// Value of `--key`, or `fallback`.
-  std::string Get(const std::string& key, const std::string& fallback) const;
-
-  /// True when `--key` was supplied.
-  bool Has(const std::string& key) const;
-
-  /// Every value of a repeatable `--key`, in flag order (empty when
-  /// absent). Used by `serve --ftb`, which accepts a shard list.
-  std::vector<std::string> GetAll(const std::string& key) const;
-
-  /// Numeric accessors; return fallback on absent, error on malformed.
-  Result<double> GetDouble(const std::string& key, double fallback) const;
-  Result<int64_t> GetInt(const std::string& key, int64_t fallback) const;
-
- private:
-  std::vector<std::pair<std::string, std::string>> kv_;
+/// Every value an `ftl` flag sets, one field per flag. A command's table
+/// declares the fields it takes, with their defaults and bounds; the
+/// rest stay empty or zero.
+struct Args {
+  // Inputs and outputs.
+  std::string p, q, db, in, out, out_p, out_q, out_rejection,
+      out_acceptance, sanitized_out, store, listen;
+  std::vector<std::string> ftb, q_shards;  // serve: --ftb, then --q
+  // simulate, link, calibrate, enrich, convert, metrics.
+  std::string config, query, candidate, matcher, to, format;
+  int64_t objects{}, seed{}, top{}, queries{};
+  double budget{};
+  bool json{};
+  // Engine.
+  double vmax_kph{}, phi{}, alpha1{}, alpha2{};
+  int64_t unit_s{}, horizon{}, threads{};
+  // Blocking.
+  std::string blocking;
+  double blocking_cell_m{};
+  int64_t blocking_slack_s{}, blocking_bucket_s{}, blocking_min_cells{},
+      blocking_neighborhood{};
+  // Store.
+  std::string wal_sync;
+  int64_t wal_sync_interval_ms{}, flush_threshold{}, compact_trigger{},
+      compact_max_segments{};
+  double flush_max_age_s{}, backpressure_factor{};
+  bool flush{};
+  // Serve.
+  int64_t workers{}, max_queue{}, request_deadline_ms{}, query_threads{};
+  // Input and global.
+  bool lenient{};
+  std::string quarantine_out, failpoints, metrics_out;
 };
 
-/// The status→exit-code mapping lives in util/status.h now so the
-/// one-shot CLI and the serve daemon share one table; re-exported here
-/// for existing callers (tests, main).
-using ::ftl::ExitCodeForStatus;
+/// Checks `argv` (the tokens after the command name) against
+/// `command`'s flag table and returns the typed values, defaults filled
+/// in. InvalidArgument names the flag that is unknown, repeated, missing
+/// its value, or given a malformed, non-finite or out-of-range one.
+Result<Args> ParseArgs(const std::string& command,
+                       const std::vector<std::string>& argv);
+
+/// The flags `command` takes, without the dashes; empty for an unknown
+/// command.
+std::vector<std::string> FlagNames(const std::string& command);
 
 /// Dispatches a full command line (without the program name). Returns
 /// the process exit status; regular output goes to `out`, error
@@ -95,32 +73,7 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out,
 /// Single-stream convenience overload: errors share `out`.
 int RunCli(const std::vector<std::string>& args, std::ostream& out);
 
-/// Individual subcommands (exposed for tests).
-Status CmdSimulate(const ArgMap& args, std::ostream& out);
-Status CmdStats(const ArgMap& args, std::ostream& out);
-Status CmdTrain(const ArgMap& args, std::ostream& out);
-Status CmdLink(const ArgMap& args, std::ostream& out);
-Status CmdExport(const ArgMap& args, std::ostream& out);
-Status CmdValidate(const ArgMap& args, std::ostream& out);
-Status CmdDiagnose(const ArgMap& args, std::ostream& out);
-Status CmdCalibrate(const ArgMap& args, std::ostream& out);
-Status CmdEnrich(const ArgMap& args, std::ostream& out);
-Status CmdConvert(const ArgMap& args, std::ostream& out);
-Status CmdMetrics(const ArgMap& args, std::ostream& out);
-
-/// Appends trajectories from --in to the WAL-backed store at --store
-/// (creating it on first use), one atomic batch per trajectory.
-/// Distinct exit codes via ExitCodeForStatus: 2 bad flags
-/// (InvalidArgument), 4 IO fault (IOError), 5 backpressure
-/// (OutOfRange), 6 store broken (FailedPrecondition).
-Status CmdIngest(const ArgMap& args, std::ostream& out);
-
-/// Runs the query daemon until a graceful drain completes (SIGTERM /
-/// SIGINT / POST /admin/shutdown). Blocks; prints one line to `out`
-/// when listening and one when drained.
-Status CmdServe(const ArgMap& args, std::ostream& out);
-
-/// The usage text.
+/// The usage text, generated from the flag tables.
 std::string UsageText();
 
 }  // namespace ftl::tools
