@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <mutex>
 
@@ -91,7 +92,16 @@ Status QueryOptions::Check() const {
 
 FtlEngine::FtlEngine(EngineOptions options)
     : options_(std::move(options)),
-      nb_(models_, options_.naive_bayes) {}
+      nb_(models_, options_.naive_bayes) {
+  TabulateNaiveBayes();
+}
+
+void FtlEngine::TabulateNaiveBayes() {
+  nb_ = NaiveBayesMatcher(models_, options_.naive_bayes);
+  nb_reject_ = NaiveBayesFastReject(
+      nb_, static_cast<size_t>(
+               std::max<int64_t>(0, options_.training.horizon_units)));
+}
 
 Status FtlEngine::Train(const traj::TrajectoryDatabase& p,
                         const traj::TrajectoryDatabase& q) {
@@ -99,7 +109,7 @@ Status FtlEngine::Train(const traj::TrajectoryDatabase& p,
   auto models = BuildModels(p, q, options_.training);
   if (!models.ok()) return models.status();
   models_ = std::move(models).value();
-  nb_ = NaiveBayesMatcher(models_, options_.naive_bayes);
+  TabulateNaiveBayes();
   trained_ = true;
   return Status::OK();
 }
@@ -113,7 +123,7 @@ void FtlEngine::SetModels(ModelPair models) {
   // fills every bucket.
   models_.rejection.RepairUnsupportedBuckets();
   models_.acceptance.RepairUnsupportedBuckets();
-  nb_ = NaiveBayesMatcher(models_, options_.naive_bayes);
+  TabulateNaiveBayes();
   trained_ = true;
 }
 
@@ -148,6 +158,31 @@ inline void PrefetchCandidate(const traj::FlatTrajectoryView& v) {
   PrefetchSpan(v.ys(), v.size() * sizeof(double));
 }
 
+/// The stage stopwatch of one pair: on a sampled pair each Lap()
+/// returns the nanoseconds since the previous lap (or construction);
+/// on any other pair it returns 0 and reads no clock.
+class StageClock {
+ public:
+  explicit StageClock(bool sampled) : sampled_(sampled) {
+    if (sampled_) last_ = Clock::now();
+  }
+
+  int64_t Lap() {
+    if (!sampled_) return 0;
+    const Clock::time_point now = Clock::now();
+    const int64_t ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(now - last_)
+            .count();
+    last_ = now;
+    return ns;
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+  bool sampled_;
+  Clock::time_point last_;
+};
+
 }  // namespace
 
 template <typename QueryT, typename CandT>
@@ -163,106 +198,93 @@ bool FtlEngine::ScoreOne(const QueryT& query, const CandT& cand,
   const bool sampled =
       (scratch->sample_tick++ & (kStageSampleEvery - 1)) == 0;
   ++scratch->n_candidates;
-  int64_t alignment_ns = 0;
-  if (sampled) {
-    Stopwatch sw;
-    CollectEvidence(query, cand, ev_opts, &scratch->evidence);
-    alignment_ns = static_cast<int64_t>(sw.ElapsedSeconds() * 1e9);
-  } else {
-    CollectEvidence(query, cand, ev_opts, &scratch->evidence);
-  }
+  StageClock clock(sampled);
   const BucketEvidence& ev = scratch->evidence;
   stats::GroupedPbWorkspace& ws = scratch->pb;
+
+  if (matcher == Matcher::kNaiveBayes) {
+    // Certified fast reject (DESIGN.md §6): one log-ratio sum over the
+    // walk rejects every pair that falls short of the prior gap by more
+    // than the float margin. The rest take the exact path — histogram,
+    // Classify and, for accepted pairs, the p-values that rank them —
+    // so every decision and candidate is the paper's. The alignment
+    // stage times the walk or walks; the decision stage the margin test
+    // plus any exact path.
+    const LogRatioSum fast =
+        SumLogRatios(query, cand, ev_opts, nb_reject_.ratios().data());
+    int64_t alignment_ns = clock.Lap();
+    bool same = false;
+    const bool certain =
+        nb_reject_.CertainlyRejects(fast.sum, fast.informative);
+    int64_t decision_ns = clock.Lap();
+    if (!certain) {
+      CollectEvidence(query, cand, ev_opts, &scratch->evidence);
+      alignment_ns += clock.Lap();
+      out->k_observed = ev.k_observed;
+      out->n_segments = static_cast<size_t>(ev.informative);
+      const NaiveBayesDecision d = nb_.Classify(ev);
+      out->nb_log_odds = d.LogOdds();
+      same = d.same_person;
+      // Grouped Poisson-Binomial tails only for candidates that enter
+      // Q_P, where they drive the Eq. 2 ranking (paper Section V
+      // applies the same score to NB candidates).
+      if (same) {
+        ev.GroupsUnder(models_.rejection, &ws.groups);
+        stats::GroupedTails rej = stats::GroupedPoissonBinomialTails(
+            ws.groups, out->k_observed, options_.alpha.tail, &ws);
+        out->p1 = rej.upper;
+        ev.GroupsUnder(models_.acceptance, &ws.groups);
+        stats::GroupedTails acc = stats::GroupedPoissonBinomialTails(
+            ws.groups, out->k_observed, options_.alpha.tail, &ws);
+        out->p2 = acc.lower;
+        out->score = out->p1 * (1.0 - out->p2);
+        if (rej.exact && acc.exact) {
+          ++scratch->n_exact_tail;
+        } else {
+          ++scratch->n_rna_tail;
+        }
+      }
+      decision_ns += clock.Lap();
+    }
+    if (!same) ++scratch->n_nb_reject;
+    if (sampled) {
+      const EngineMetrics& em = Metrics();
+      em.stage_alignment_ns->Record(alignment_ns);
+      em.stage_decision_ns->Record(decision_ns);
+    }
+    return same;
+  }
+
+  // Single implementation of the two-phase test (Chernoff–KL
+  // fast-reject, truncated exact tails, lazy p2) lives in AlphaFilter;
+  // the filter view is constructed once per batch by the caller.
+  CollectEvidence(query, cand, ev_opts, &scratch->evidence);
+  const int64_t alignment_ns = clock.Lap();
   out->k_observed = ev.k_observed;
   out->n_segments = static_cast<size_t>(ev.informative);
-
-  // Grouped Poisson-Binomial tails are computed lazily: the
-  // rejection-phase p1 always gates the alpha filter, but p2 — and,
-  // for Naive-Bayes, both p-values — are only needed for candidates
-  // that enter Q_P, where they drive the Eq. 2 ranking (paper
-  // Section V applies the same score to NB candidates).
-  auto fill_pvalues = [this, &ev, &ws, out, scratch]() {
-    ev.GroupsUnder(models_.rejection, &ws.groups);
-    stats::GroupedTails rej = stats::GroupedPoissonBinomialTails(
-        ws.groups, out->k_observed, options_.alpha.tail, &ws);
-    out->p1 = rej.upper;
-    ev.GroupsUnder(models_.acceptance, &ws.groups);
-    stats::GroupedTails acc = stats::GroupedPoissonBinomialTails(
-        ws.groups, out->k_observed, options_.alpha.tail, &ws);
-    out->p2 = acc.lower;
-    out->score = out->p1 * (1.0 - out->p2);
-    if (rej.exact && acc.exact) {
-      ++scratch->n_exact_tail;
-    } else {
-      ++scratch->n_rna_tail;
-    }
-  };
-
-  switch (matcher) {
-    case Matcher::kAlphaFilter: {
-      // Single implementation of the two-phase test (Chernoff–KL
-      // fast-reject, truncated exact tails, lazy p2) lives in
-      // AlphaFilter; the filter view is constructed once per batch by
-      // the caller.
-      AlphaFilterDecision decision;
-      if (sampled) {
-        AlphaFilterStageTimes st;
-        Stopwatch sw;
-        decision = filter.Classify(ev, &ws, &st);
-        int64_t total_ns =
-            static_cast<int64_t>(sw.ElapsedSeconds() * 1e9);
-        const EngineMetrics& em = Metrics();
-        em.stage_alignment_ns->Record(alignment_ns);
-        em.stage_bucketing_ns->Record(st.bucketing_ns);
-        em.stage_tail_ns->Record(st.tail_ns);
-        em.stage_decision_ns->Record(
-            std::max<int64_t>(0, total_ns - st.bucketing_ns - st.tail_ns));
-      } else {
-        decision = filter.Classify(ev, &ws);
-      }
-      if (decision.fast_rejected) {
-        ++scratch->n_fast_reject;
-      } else if (decision.used_rna) {
-        ++scratch->n_rna_tail;
-      } else {
-        ++scratch->n_exact_tail;
-      }
-      out->p1 = decision.p1;
-      out->p2 = decision.p2;
-      out->score = decision.Score();
-      return decision.accepted;
-    }
-    case Matcher::kNaiveBayes: {
-      if (sampled) {
-        // NB has no grouped-kernel stage split; its whole
-        // classification (plus the lazy p-value fill for accepted
-        // candidates) is attributed to the decision stage.
-        Stopwatch sw;
-        NaiveBayesDecision d = nb_.Classify(ev);
-        out->nb_log_odds = d.LogOdds();
-        bool same = d.same_person;
-        if (same) {
-          fill_pvalues();
-        } else {
-          ++scratch->n_nb_reject;
-        }
-        const EngineMetrics& em = Metrics();
-        em.stage_alignment_ns->Record(alignment_ns);
-        em.stage_decision_ns->Record(
-            static_cast<int64_t>(sw.ElapsedSeconds() * 1e9));
-        return same;
-      }
-      NaiveBayesDecision d = nb_.Classify(ev);
-      out->nb_log_odds = d.LogOdds();
-      if (!d.same_person) {
-        ++scratch->n_nb_reject;
-        return false;
-      }
-      fill_pvalues();
-      return true;
-    }
+  AlphaFilterStageTimes st;
+  const AlphaFilterDecision decision =
+      filter.Classify(ev, &ws, sampled ? &st : nullptr);
+  if (sampled) {
+    const int64_t total_ns = clock.Lap();
+    const EngineMetrics& em = Metrics();
+    em.stage_alignment_ns->Record(alignment_ns);
+    em.stage_bucketing_ns->Record(st.bucketing_ns);
+    em.stage_tail_ns->Record(st.tail_ns);
+    em.stage_decision_ns->Record(
+        std::max<int64_t>(0, total_ns - st.bucketing_ns - st.tail_ns));
   }
-  return false;
+  if (decision.fast_rejected) {
+    ++scratch->n_fast_reject;
+  } else if (decision.used_rna) {
+    ++scratch->n_rna_tail;
+  } else {
+    ++scratch->n_exact_tail;
+  }
+  out->p1 = decision.p1;
+  out->p2 = decision.p2;
+  out->score = decision.Score();
+  return decision.accepted;
 }
 
 template <typename QueryT, typename DbT>
@@ -521,17 +543,18 @@ BlockingGuarantee FtlEngine::DeriveBlockingGuarantee(Matcher matcher) const {
     // Accept ⇔ Σ per-segment LLR >= log(1−φr) − log(φr). Each
     // informative segment contributes at most the best single-unit
     // LLR, so acceptance needs n >= gap / best. Every term is read
-    // from the classifier's own log table.
+    // from the classifier's own tables: the priors, and the ratios the
+    // fast reject sums (the overflow pair excluded).
     const double prior_gap = nb_.log_prior_diff() - nb_.log_prior_same();
     if (prior_gap <= 0.0) {
       g.min_segments = 0;  // the prior alone accepts; cannot prune
       return g;
     }
+    const std::vector<double>& ratios = nb_reject_.ratios();
+    const size_t informative_entries = ratios.size() - 2;
     double best = -std::numeric_limits<double>::infinity();
-    for (int64_t u = 0; u < ev.horizon_units; ++u) {
-      const NaiveBayesUnitLogs& t = nb_.UnitLogs(u);
-      best = std::max(best, t.same_incompat - t.diff_incompat);
-      best = std::max(best, t.same_compat - t.diff_compat);
+    for (size_t i = 0; i < informative_entries; ++i) {
+      best = std::max(best, ratios[i]);
     }
     if (!(best > 0.0)) {
       g.min_segments = kNever;  // no segment favors "same person"

@@ -315,9 +315,16 @@ class FtlEngine {
                                 ScoreScratch* scratch,
                                 const QueryOptions* qopts) const;
 
+  /// Rebuilds nb_ and nb_reject_ from models_ (the constructor, Train
+  /// and SetModels).
+  void TabulateNaiveBayes();
+
   EngineOptions options_;
   ModelPair models_;
   NaiveBayesMatcher nb_;  ///< rebuilt whenever models_ changes
+  /// nb_'s log-likelihood ratios over the evidence horizon and their
+  /// float margin, rebuilt with nb_.
+  NaiveBayesFastReject nb_reject_;
   bool trained_ = false;
 };
 

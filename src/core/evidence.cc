@@ -88,7 +88,13 @@ struct SoaCols {
   double y(size_t i) const { return ys[i]; }
 };
 
-/// The query-hot-path evidence kernel, layout-generic.
+/// The query-hot-path alignment walk, layout-generic: calls
+/// sink(u, incompat) once per mutual segment in merged order, with u
+/// the segment's time unit clamped to options.horizon_units (the
+/// overflow slot) and incompat its 0/1 incompatibility bit, and returns
+/// the number of mutual segments. The bucket histogram (CollectEvidence)
+/// and the Naïve-Bayes log-ratio sum (SumLogRatios) both walk through
+/// here, so they see the same segments from the same arithmetic.
 ///
 /// Mutual segments are exactly the source alternations of the merged
 /// order, so instead of the record-by-record merge (one unpredictable
@@ -97,22 +103,20 @@ struct SoaCols {
 /// tight scan. Only run boundaries — at most two per Q record — do any
 /// segment work. Order and tie-breaking (P-first on equal timestamps)
 /// match traj::VisitSegments exactly.
-template <typename PC, typename QC>
-void CollectEvidenceImpl(const PC& pc, size_t np, const QC& qc, size_t nq,
-                         const EvidenceOptions& options, BucketEvidence* out) {
-  out->Reset(static_cast<size_t>(options.horizon_units));
+template <typename PC, typename QC, typename Sink>
+int64_t WalkMutualSegments(const PC& pc, size_t np, const QC& qc, size_t nq,
+                           const EvidenceOptions& options, Sink&& sink) {
   const int64_t tu = options.time_unit_seconds;
   const int64_t half = tu / 2;
   const int64_t horizon = options.horizon_units;
   const double inv_tu = 1.0 / static_cast<double>(tu);
   const double vmax = options.vmax_mps;
-  int32_t* cnt = out->count.data();
-  int32_t* inc = out->incompatible.data();
   int64_t total_mutual = 0;
   // Branch-free per segment: beyond-horizon units clamp into the
-  // overflow slot and the incompatibility bit is added arithmetically,
-  // so the only data-dependent branches left are the (almost never
-  // taken) one-off corrections of the reciprocal-multiply division.
+  // overflow slot and the incompatibility bit is handed over as an
+  // integer, so the only data-dependent branches left are the (almost
+  // never taken) one-off corrections of the reciprocal-multiply
+  // division.
   auto mutual = [&](const auto& a, size_t ai, const auto& b, size_t bi) {
     ++total_mutual;
     int64_t dt = b.t(bi) - a.t(ai);  // merge order => non-negative
@@ -126,9 +130,7 @@ void CollectEvidenceImpl(const PC& pc, size_t np, const QC& qc, size_t nq,
     int64_t unit = static_cast<int64_t>(static_cast<double>(x) * inv_tu);
     int64_t r = x - unit * tu;
     unit += (r >= tu) - (r < 0);
-    size_t u = static_cast<size_t>(std::min(unit, horizon));
-    ++cnt[u];
-    inc[u] += incompat;
+    sink(static_cast<size_t>(std::min(unit, horizon)), incompat);
   };
   size_t i = 0;
   for (size_t j = 0; j < nq; ++j) {
@@ -148,9 +150,25 @@ void CollectEvidenceImpl(const PC& pc, size_t np, const QC& qc, size_t nq,
   // P records after the last Q record: only the first closes an
   // alternation (with the last Q record); the rest are self-segments.
   if (i < np && nq > 0) mutual(qc, nq - 1, pc, i);
+  return total_mutual;
+}
+
+/// Histogram sink: the bucket evidence both classifiers score from.
+template <typename PC, typename QC>
+void CollectEvidenceImpl(const PC& pc, size_t np, const QC& qc, size_t nq,
+                         const EvidenceOptions& options, BucketEvidence* out) {
+  out->Reset(static_cast<size_t>(options.horizon_units));
+  int32_t* cnt = out->count.data();
+  int32_t* inc = out->incompatible.data();
+  const int64_t total_mutual =
+      WalkMutualSegments(pc, np, qc, nq, options,
+                         [cnt, inc](size_t u, int32_t incompat) {
+                           ++cnt[u];
+                           inc[u] += incompat;
+                         });
   // Fold the histogram into the aggregate counters in one pass.
   int64_t informative = 0, k = 0;
-  const size_t h = static_cast<size_t>(horizon);
+  const size_t h = static_cast<size_t>(options.horizon_units);
   for (size_t u = 0; u < h; ++u) {
     informative += cnt[u];
     k += inc[u];
@@ -159,6 +177,24 @@ void CollectEvidenceImpl(const PC& pc, size_t np, const QC& qc, size_t nq,
   out->informative = informative;
   out->k_observed = k;
   out->beyond_horizon_incompatible = inc[h];
+}
+
+/// Log-ratio sink: one running sum in walk order and the informative
+/// count, no per-pair buffer at all.
+template <typename PC, typename QC>
+LogRatioSum SumLogRatiosImpl(const PC& pc, size_t np, const QC& qc, size_t nq,
+                             const EvidenceOptions& options,
+                             const double* ratio) {
+  const size_t h = static_cast<size_t>(options.horizon_units);
+  double sum = 0;
+  int64_t informative = 0;
+  WalkMutualSegments(pc, np, qc, nq, options,
+                     [ratio, h, &sum, &informative](size_t u,
+                                                    int32_t incompat) {
+                       sum += ratio[2 * u + static_cast<size_t>(incompat)];
+                       informative += u < h;
+                     });
+  return {sum, informative};
 }
 
 }  // namespace
@@ -174,6 +210,21 @@ void CollectEvidence(const traj::FlatTrajectoryView& p,
                      const EvidenceOptions& options, BucketEvidence* out) {
   CollectEvidenceImpl(SoaCols{p.ts(), p.xs(), p.ys()}, p.size(),
                       SoaCols{q.ts(), q.xs(), q.ys()}, q.size(), options, out);
+}
+
+LogRatioSum SumLogRatios(const traj::Trajectory& p, const traj::Trajectory& q,
+                         const EvidenceOptions& options, const double* ratio) {
+  return SumLogRatiosImpl(AosCols{p.records().data()}, p.size(),
+                          AosCols{q.records().data()}, q.size(), options,
+                          ratio);
+}
+
+LogRatioSum SumLogRatios(const traj::FlatTrajectoryView& p,
+                         const traj::FlatTrajectoryView& q,
+                         const EvidenceOptions& options, const double* ratio) {
+  return SumLogRatiosImpl(SoaCols{p.ts(), p.xs(), p.ys()}, p.size(),
+                          SoaCols{q.ts(), q.xs(), q.ys()}, q.size(), options,
+                          ratio);
 }
 
 void CompactEvidence(const MutualSegmentEvidence& ev, size_t horizon_units,

@@ -125,6 +125,26 @@ void CollectEvidence(const traj::FlatTrajectoryView& p,
                      const traj::FlatTrajectoryView& q,
                      const EvidenceOptions& options, BucketEvidence* out);
 
+/// Sum of a per-(unit, bit) table over the mutual segments of one
+/// alignment, and how many of them are informative.
+struct LogRatioSum {
+  double sum = 0;
+  int64_t informative = 0;
+};
+
+/// Streams the alignment of (p, q) through the same walk as
+/// CollectEvidence, but instead of a histogram adds ratio[2·u + b] per
+/// mutual segment, in walk order: u is the segment's time unit clamped
+/// to options.horizon_units (the overflow slot) and b its
+/// incompatibility bit. `ratio` holds 2·(horizon_units + 1) entries;
+/// the Naïve-Bayes fast reject passes its log-likelihood ratios, whose
+/// overflow pair is 0.
+LogRatioSum SumLogRatios(const traj::Trajectory& p, const traj::Trajectory& q,
+                         const EvidenceOptions& options, const double* ratio);
+LogRatioSum SumLogRatios(const traj::FlatTrajectoryView& p,
+                         const traj::FlatTrajectoryView& q,
+                         const EvidenceOptions& options, const double* ratio);
+
 /// Folds per-segment evidence into the bucket histogram (used by the
 /// streaming linker, whose pair state accumulates incrementally).
 void CompactEvidence(const MutualSegmentEvidence& ev, size_t horizon_units,

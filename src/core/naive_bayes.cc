@@ -89,4 +89,27 @@ NaiveBayesDecision NaiveBayesMatcher::Classify(
   return Classify(CollectEvidence(p, q, options));
 }
 
+NaiveBayesFastReject::NaiveBayesFastReject(const NaiveBayesMatcher& nb,
+                                           size_t horizon_units)
+    : ratios_(2 * (horizon_units + 1), 0.0) {
+  const double lps = nb.log_prior_same();
+  const double lpd = nb.log_prior_diff();
+  double entry = 0;
+  finite_ = std::isfinite(lps) && std::isfinite(lpd);
+  for (size_t u = 0; u < horizon_units; ++u) {
+    const NaiveBayesUnitLogs& t = nb.UnitLogs(static_cast<int64_t>(u));
+    for (double v : {t.same_incompat, t.same_compat, t.diff_incompat,
+                     t.diff_compat}) {
+      finite_ = finite_ && std::isfinite(v);
+      entry = std::max(entry, std::abs(v));
+    }
+    ratios_[2 * u] = t.same_compat - t.diff_compat;
+    ratios_[2 * u + 1] = t.same_incompat - t.diff_incompat;
+  }
+  gap_ = lpd - lps;
+  entry8_ = 8.0 * entry;
+  horizon2_ = static_cast<double>(horizon_units) + 2.0;
+  priors4_ = 4.0 * (std::abs(lps) + std::abs(lpd));
+}
+
 }  // namespace ftl::core

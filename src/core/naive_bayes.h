@@ -111,6 +111,55 @@ class NaiveBayesMatcher {
   NaiveBayesUnitLogs uncovered_;
 };
 
+/// Certified fast rejection for the Naïve-Bayes decision (DESIGN.md
+/// §6). Classify accepts a pair iff its summed per-segment
+/// log-likelihood ratio reaches the prior gap log(1 − φr) − log φr.
+/// This object tabulates that ratio per (time unit, compatibility bit)
+/// for SumLogRatios, and bounds the float error between such a sum and
+/// Classify's own arithmetic: a sum that falls short of the gap by more
+/// than Margin(n) proves Classify(BucketEvidence) rejects the pair, so
+/// the histogram need not be built. Immutable; safe to share.
+class NaiveBayesFastReject {
+ public:
+  NaiveBayesFastReject() = default;
+
+  /// Tabulates the ratios of `nb` for units [0, horizon_units), the
+  /// units BucketEvidence of that horizon scores.
+  NaiveBayesFastReject(const NaiveBayesMatcher& nb, size_t horizon_units);
+
+  /// r[2u + b] = unit u's same-person log term minus its
+  /// different-person log term for bit b (1 = incompatible), read from
+  /// nb.UnitLogs(u); 2·(horizon_units + 1) entries, the overflow pair
+  /// u = horizon_units holding 0.
+  const std::vector<double>& ratios() const { return ratios_; }
+
+  /// The margin for a pair with n informative segments,
+  /// u·(8E·n·(n + H + 2) + 4P): u = 2^-53, E the largest |log term|
+  /// over the units, H the horizon, P = |log φr| + |log(1 − φr)|.
+  /// DESIGN.md §6 derives it; it holds while n + H + 2 <= 2^52.
+  double Margin(int64_t informative) const {
+    const double n = static_cast<double>(informative);
+    return kUnitRoundoff * (entry8_ * n * (n + horizon2_) + priors4_);
+  }
+
+  /// True when `sum`, SumLogRatios over a pair with `informative`
+  /// informative segments, proves Classify rejects the pair. Always
+  /// false unless every table entry is finite.
+  bool CertainlyRejects(double sum, int64_t informative) const {
+    return finite_ && sum < gap_ - Margin(informative);
+  }
+
+ private:
+  static constexpr double kUnitRoundoff = 0x1p-53;
+
+  std::vector<double> ratios_;
+  bool finite_ = false;
+  double gap_ = 0;        ///< log(1 − φr) − log φr
+  double entry8_ = 0;     ///< 8 × the largest |log term| over the units
+  double horizon2_ = 0;   ///< horizon_units + 2
+  double priors4_ = 0;    ///< 4 (|log φr| + |log(1 − φr)|)
+};
+
 }  // namespace ftl::core
 
 #endif  // FTL_CORE_NAIVE_BAYES_H_

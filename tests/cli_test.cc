@@ -481,6 +481,13 @@ TEST(CliTest, UndeclaredRepeatedOrNonFiniteFlagsExit2BeforeRunning) {
           {{"ingest", "--store", store_dir, "--in", kNoQ, "--wal-sync",
             "alwys"},
            "--wal-sync"},
+          // Training runs on every hardware thread; neither command
+          // takes a thread count.
+          {{"train", "--p", kNoP, "--q", kNoQ, "--out-rejection", model,
+            "--out-acceptance", model, "--threads", "4"},
+           "--threads"},
+          {{"diagnose", "--p", kNoP, "--q", kNoQ, "--threads", "4"},
+           "--threads"},
       };
   for (const auto& [argv, flag] : cases) {
     std::ostringstream out, err;
@@ -522,13 +529,12 @@ TEST(CliTest, EachCommandTakesItsDeclaredFlags) {
   const std::vector<std::pair<std::string, std::string>> want = {
       {"simulate", "out-p out-q config objects seed" + global},
       {"stats", "db" + input + global},
-      {"train", "p q out-rejection out-acceptance threads" + engine + input +
-                    global},
+      {"train", "p q out-rejection out-acceptance" + engine + input + global},
       {"link", "p q query matcher top json threads" + engine + blocking +
                    input + global},
       {"export", "db out" + input + global},
       {"validate", "db sanitized-out" + input + global},
-      {"diagnose", "p q threads" + engine + input + global},
+      {"diagnose", "p q" + engine + input + global},
       {"calibrate", "p q matcher budget queries threads" + engine + input +
                         global},
       {"enrich", "p q query candidate vmax-kph" + input + global},

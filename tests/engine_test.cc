@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <optional>
+
 #include "core/engine.h"
 #include "obs/metrics.h"
 #include "sim/population_sim.h"
@@ -345,6 +350,204 @@ TEST(EngineTest, InstrumentationDoesNotChangeResults) {
     EXPECT_EQ(a[j].p1, b[j].p1);
     EXPECT_EQ(a[j].p2, b[j].p2);
     EXPECT_EQ(a[j].score, b[j].score);
+  }
+}
+
+/// One (query, candidate) pair and three prior probabilities that put
+/// its prior gap within the certified margin of its log-ratio sum S,
+/// where the bound must leave the decision to the exact path.
+struct MarginCase {
+  size_t query = 0;
+  size_t candidate = 0;
+  double misjudged = 0;  ///< S below the gap, yet Classify accepts
+  double rejected = 0;   ///< S below the gap, and Classify rejects
+  double below = 0;      ///< the gap at or below S
+};
+
+/// Searches `data` for a MarginCase. Only S in (0, 20] is tried: there
+/// φr < 1/2, so one ulp of φr moves the gap by about one ulp of S.
+/// Every φr found has Classify agree over BucketEvidence and over
+/// MutualSegmentEvidence.
+std::optional<MarginCase> FindMarginCase(const FtlEngine& engine,
+                                         const sim::PopulationData& data) {
+  const EvidenceOptions ev_opts = engine.evidence_options();
+  const size_t horizon = static_cast<size_t>(ev_opts.horizon_units);
+  // The ratios do not depend on φr; this bound is only for its table.
+  const NaiveBayesFastReject table(engine.naive_bayes(), horizon);
+  BucketEvidence hist;
+  for (size_t qi = 0; qi < data.cdr_db.size(); ++qi) {
+    const traj::Trajectory& q = data.cdr_db[qi];
+    for (size_t ci = 0; ci < data.transit_db.size(); ++ci) {
+      const traj::Trajectory& c = data.transit_db[ci];
+      const LogRatioSum fast =
+          SumLogRatios(q, c, ev_opts, table.ratios().data());
+      if (fast.informative == 0 || !(fast.sum > 0 && fast.sum <= 20)) {
+        continue;
+      }
+      CollectEvidence(q, c, ev_opts, &hist);
+      const MutualSegmentEvidence segs = CollectEvidence(q, c, ev_opts);
+      MarginCase mc{qi, ci, 0, 0, 0};
+      // gap(φ) = S at φ = 1 / (1 + e^S); walk φ up one ulp at a time
+      // across that point, so the gap falls across S.
+      double phi = 1.0 / (1.0 + std::exp(fast.sum));
+      for (int k = 0; k < 4096; ++k) phi = std::nextafter(phi, 0.0);
+      for (int k = 0; k < 8192; ++k, phi = std::nextafter(phi, 1.0)) {
+        NaiveBayesParams params = engine.options().naive_bayes;
+        params.phi_r = phi;
+        const NaiveBayesMatcher nb(engine.models(), params);
+        const NaiveBayesFastReject bound(nb, horizon);
+        if (bound.CertainlyRejects(fast.sum, fast.informative)) continue;
+        const double gap = nb.log_prior_diff() - nb.log_prior_same();
+        const bool accepts = nb.Classify(hist).same_person;
+        if (accepts != nb.Classify(segs).same_person) continue;
+        if (fast.sum >= gap) {
+          if (mc.below == 0) mc.below = phi;
+        } else if (accepts) {
+          if (mc.misjudged == 0) mc.misjudged = phi;
+        } else {
+          mc.rejected = phi;  // the last one, nearest S
+        }
+      }
+      if (mc.misjudged != 0 && mc.rejected != 0 && mc.below != 0) return mc;
+    }
+  }
+  return std::nullopt;
+}
+
+/// Engines over the same models whose prior gaps sit within the
+/// certified margin of one pair's log-ratio sum, on either side: the
+/// bound may not decide there, so the served decision is the paper's,
+/// including at a φr where a decision from the sum alone would reject
+/// a pair Classify accepts.
+TEST(NaiveBayesFastRejectTest, DecisionsWithinTheMarginAreExact) {
+  FtlEngine trained(TestOptions());
+  auto dense = TestPopulation(20, 52);
+  ASSERT_TRUE(trained.Train(dense.cdr_db, dense.transit_db).ok());
+  // Pairs with a handful of informative segments, whose sums fall
+  // inside the range a prior gap can take.
+  sim::PopulationOptions po;
+  po.num_persons = 20;
+  po.duration_days = 2;
+  po.cdr_accesses_per_day = 3.0;
+  po.transit_accesses_per_day = 3.0;
+  po.seed = 54;
+  const sim::PopulationData data = sim::SimulatePopulation(po);
+  const std::optional<MarginCase> mc = FindMarginCase(trained, data);
+  ASSERT_TRUE(mc.has_value()) << "no pair with a prior gap inside the "
+                                 "margin that the sum alone misjudges";
+  const traj::Trajectory& q = data.cdr_db[mc->query];
+  const traj::Trajectory& c = data.transit_db[mc->candidate];
+  const EvidenceOptions ev_opts = trained.evidence_options();
+  const MutualSegmentEvidence segs = CollectEvidence(q, c, ev_opts);
+  BucketEvidence hist;
+  CollectEvidence(q, c, ev_opts, &hist);
+  for (double phi : {mc->misjudged, mc->rejected, mc->below}) {
+    SCOPED_TRACE(testing::Message() << "pair (" << mc->query << ", "
+                                    << mc->candidate << "), phi_r "
+                                    << std::hexfloat << phi);
+    EngineOptions o = TestOptions();
+    o.naive_bayes.phi_r = phi;
+    FtlEngine engine(o);
+    engine.SetModels(trained.models());
+    const NaiveBayesMatcher& nb = engine.naive_bayes();
+    const NaiveBayesFastReject bound(
+        nb, static_cast<size_t>(ev_opts.horizon_units));
+    const LogRatioSum fast =
+        SumLogRatios(q, c, ev_opts, bound.ratios().data());
+    const double gap = nb.log_prior_diff() - nb.log_prior_same();
+    EXPECT_LT(std::abs(fast.sum - gap), bound.Margin(fast.informative));
+    EXPECT_FALSE(bound.CertainlyRejects(fast.sum, fast.informative));
+    const NaiveBayesDecision paper = nb.Classify(segs);
+    EXPECT_EQ(paper.same_person, phi != mc->rejected);
+    EXPECT_EQ(fast.sum < gap, phi != mc->below);
+    auto r = engine.QueryWithCandidates(q, data.transit_db, {mc->candidate},
+                                        Matcher::kNaiveBayes);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const std::vector<MatchCandidate>& got = r.value().candidates;
+    ASSERT_EQ(got.size(), paper.same_person ? 1u : 0u);
+    if (paper.same_person) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(got[0].nb_log_odds),
+                std::bit_cast<uint64_t>(nb.Classify(hist).LogOdds()));
+    }
+  }
+}
+
+TEST(NaiveBayesFastRejectTest, RepeatedCandidateScoresIdentically) {
+  auto data = TestPopulation(20, 53);
+  FtlEngine engine(TestOptions());
+  ASSERT_TRUE(engine.Train(data.cdr_db, data.transit_db).ok());
+  const traj::Trajectory& query = data.cdr_db[0];
+  auto full = engine.Query(query, data.transit_db, Matcher::kNaiveBayes, 1);
+  ASSERT_TRUE(full.ok());
+  ASSERT_FALSE(full.value().candidates.empty());
+  std::vector<bool> in_qp(data.transit_db.size(), false);
+  for (const MatchCandidate& mc : full.value().candidates) {
+    in_qp[mc.index] = true;
+  }
+  const size_t accepted = full.value().candidates[0].index;
+  const size_t rejected = static_cast<size_t>(
+      std::find(in_qp.begin(), in_qp.end(), false) - in_qp.begin());
+  ASSERT_LT(rejected, in_qp.size());
+
+  traj::TrajectoryDatabase qdb;
+  ASSERT_TRUE(qdb.Add(query).ok());
+  const traj::FlatDatabase flat_q = traj::FlatDatabase::FromDatabase(qdb);
+  const traj::FlatDatabase flat_db =
+      traj::FlatDatabase::FromDatabase(data.transit_db);
+  obs::Histogram& align =
+      obs::MetricsRegistry::Global().GetHistogram("ftl_stage_alignment_ns");
+  for (size_t index : {accepted, rejected}) {
+    // A fresh scratch samples the stage timers on its first pair and
+    // then every 64th: pairs 1 and 65 are timed, 2..64 are not, and all
+    // 65 must score alike.
+    const std::vector<size_t> repeated(65, index);
+    for (bool soa : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "candidate " << index << (soa ? " soa" : " aos"));
+      const int64_t samples0 = align.Count();
+      auto r = soa ? engine.QueryWithCandidates(flat_q[0], flat_db, repeated,
+                                                Matcher::kNaiveBayes)
+                   : engine.QueryWithCandidates(query, data.transit_db,
+                                                repeated, Matcher::kNaiveBayes);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(align.Count() - samples0, 2);
+      EXPECT_EQ(r.value().evaluated, 65u);
+      const std::vector<MatchCandidate>& got = r.value().candidates;
+      ASSERT_EQ(got.size(), index == accepted ? 65u : 0u);
+      for (const MatchCandidate& mc : got) {
+        const MatchCandidate& want = full.value().candidates[0];
+        EXPECT_EQ(mc.index, want.index);
+        EXPECT_EQ(mc.label, want.label);
+        EXPECT_EQ(std::bit_cast<uint64_t>(mc.p1),
+                  std::bit_cast<uint64_t>(want.p1));
+        EXPECT_EQ(std::bit_cast<uint64_t>(mc.p2),
+                  std::bit_cast<uint64_t>(want.p2));
+        EXPECT_EQ(std::bit_cast<uint64_t>(mc.score),
+                  std::bit_cast<uint64_t>(want.score));
+        EXPECT_EQ(std::bit_cast<uint64_t>(mc.nb_log_odds),
+                  std::bit_cast<uint64_t>(want.nb_log_odds));
+        EXPECT_EQ(mc.k_observed, want.k_observed);
+        EXPECT_EQ(mc.n_segments, want.n_segments);
+      }
+    }
+  }
+}
+
+/// With a prob_floor of 0, a model probability of 0 or 1 puts log 0 =
+/// −inf into the tables. The margin's derivation then fails, so the
+/// bound never decides and every pair takes the exact path.
+TEST(NaiveBayesFastRejectTest, NonFiniteTableNeverDecides) {
+  ModelPair models;
+  models.rejection = CompatibilityModel(60, {0.0, 0.5, 1.0});
+  models.acceptance = CompatibilityModel(60, {0.5, 0.5, 0.5});
+  NaiveBayesParams params;
+  params.prob_floor = 1e-6;
+  const NaiveBayesFastReject finite(NaiveBayesMatcher(models, params), 3);
+  EXPECT_TRUE(finite.CertainlyRejects(-1e300, 1));
+  params.prob_floor = 0.0;
+  const NaiveBayesFastReject infinite(NaiveBayesMatcher(models, params), 3);
+  for (int64_t n : {0, 1, 1000}) {
+    EXPECT_FALSE(infinite.CertainlyRejects(-1e300, n)) << n;
   }
 }
 

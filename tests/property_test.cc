@@ -511,14 +511,30 @@ TEST_P(NaiveBayesTableTest, SweepAndEngineMatchDirectLogs) {
                                               data.transit_db);
   ASSERT_EQ(scores.size(), queries.size());
   core::BucketEvidence ev;
+  traj::TrajectoryDatabase query_db;
+  for (const traj::Trajectory& q : queries) ASSERT_TRUE(query_db.Add(q).ok());
+  const traj::FlatDatabase flat_queries =
+      traj::FlatDatabase::FromDatabase(query_db);
+  const traj::FlatDatabase flat_db =
+      traj::FlatDatabase::FromDatabase(data.transit_db);
+  const core::NaiveBayesFastReject bound(engine.naive_bayes(), horizon);
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     ASSERT_EQ(scores[qi].size(), data.transit_db.size());
-    auto result = engine.Query(queries[qi], data.transit_db,
-                               core::Matcher::kNaiveBayes);
-    ASSERT_TRUE(result.ok());
+    auto aos = engine.Query(queries[qi], data.transit_db,
+                            core::Matcher::kNaiveBayes);
+    auto soa = engine.Query(flat_queries[qi], flat_db,
+                            core::Matcher::kNaiveBayes);
+    ASSERT_TRUE(aos.ok());
+    ASSERT_TRUE(soa.ok());
+    // Candidate index -> served candidate, per layout.
     std::vector<const core::MatchCandidate*> by_index(data.transit_db.size());
-    for (const core::MatchCandidate& mc : result.value().candidates) {
+    std::vector<const core::MatchCandidate*> soa_by_index(
+        data.transit_db.size());
+    for (const core::MatchCandidate& mc : aos.value().candidates) {
       by_index[mc.index] = &mc;
+    }
+    for (const core::MatchCandidate& mc : soa.value().candidates) {
+      soa_by_index[mc.index] = &mc;
     }
     for (size_t ci = 0; ci < data.transit_db.size(); ++ci) {
       core::CollectEvidence(queries[qi], data.transit_db[ci],
@@ -530,11 +546,23 @@ TEST_P(NaiveBayesTableTest, SweepAndEngineMatchDirectLogs) {
           << "query " << qi << " candidate " << ci;
       const core::NaiveBayesDecision want =
           nb_reference::Classify(ev, used, eo.naive_bayes);
+      // Wherever the bound decides, the reference rejects too.
+      const core::LogRatioSum fast =
+          core::SumLogRatios(queries[qi], data.transit_db[ci],
+                             engine.evidence_options(), bound.ratios().data());
+      EXPECT_EQ(fast.informative, ev.informative);
+      EXPECT_FALSE(bound.CertainlyRejects(fast.sum, fast.informative) &&
+                   want.same_person)
+          << "query " << qi << " candidate " << ci;
       ASSERT_EQ(by_index[ci] != nullptr, want.same_person)
           << "query " << qi << " candidate " << ci;
+      ASSERT_EQ(soa_by_index[ci] != nullptr, want.same_person)
+          << "soa query " << qi << " candidate " << ci;
       if (want.same_person) {
         EXPECT_EQ(Bits(by_index[ci]->nb_log_odds), Bits(want.LogOdds()))
             << "query " << qi << " candidate " << ci;
+        EXPECT_EQ(Bits(soa_by_index[ci]->nb_log_odds), Bits(want.LogOdds()))
+            << "soa query " << qi << " candidate " << ci;
       }
     }
   }

@@ -352,7 +352,6 @@ constexpr Flag kTrainFlags[] = {
      "where to write the rejection model Mr"},
     {"out-acceptance", &Args::out_acceptance, "FILE", kRequired,
      "where to write the acceptance model Ma"},
-    kThreads,
 };
 
 Status CmdTrain(const Args& a, std::ostream& out) {
@@ -476,7 +475,7 @@ Status CmdValidate(const Args& a, std::ostream& out) {
   return Status::OK();
 }
 
-constexpr Flag kDiagnoseFlags[] = {kP, kQ, kThreads};
+constexpr Flag kDiagnoseFlags[] = {kP, kQ};
 
 Status CmdDiagnose(const Args& a, std::ostream& out) {
   auto p = LoadDb(a.p, a, "p", out);
