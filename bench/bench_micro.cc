@@ -59,7 +59,9 @@ void BM_AlignmentStreaming(benchmark::State& state) {
   auto p = RandomTrajectory(n, 2);
   auto q = RandomTrajectory(n, 3);
   for (auto _ : state) {
-    size_t mutual = traj::CountMutualSegments(p, q);
+    size_t mutual = 0;
+    traj::VisitMutualSegments(p, q,
+                              [&mutual](const traj::Segment&) { ++mutual; });
     benchmark::DoNotOptimize(mutual);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

@@ -17,16 +17,19 @@
 //   * parallel       — grouped_fast with intra-query candidate
 //                      parallelism across all hardware threads.
 //
-// Emits BENCH_query_hotpath.json (path overridable via argv[1]) so the
-// perf trajectory is tracked from PR 1 onward.
+// Emits BENCH_query_hotpath.json (path overridable via argv[1]),
+// headed by the commit/host/nproc/isa header bench_e2e artifacts carry,
+// so the perf trajectory can be compared across commits and hosts.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/e2e/artifact.h"
 #include "bench_common.h"
 #include "ftl/ftl.h"
 #include "obs/metrics.h"
@@ -66,19 +69,23 @@ bool LegacyScorePair(const traj::Trajectory& query,
                      const core::AlphaFilterParams& alpha,
                      double* p1_out, double* p2_out) {
   core::MutualSegmentEvidence ev;
-  traj::ForEachMutualSegment(query, cand, [&](const traj::Segment& s) {
-    ++ev.total_mutual;
-    int64_t dt = s.TimeLengthSeconds();
-    int64_t unit =
-        (dt + ev_opts.time_unit_seconds / 2) / ev_opts.time_unit_seconds;
-    bool compatible = LegacyIsCompatible(s.first, s.second, ev_opts.vmax_mps);
-    if (unit >= ev_opts.horizon_units) {
-      if (!compatible) ++ev.beyond_horizon_incompatible;
-      return;
-    }
-    ev.units.push_back(static_cast<int32_t>(unit));
-    ev.incompatible.push_back(compatible ? 0 : 1);
-  });
+  // Type-erased per-segment callback, as the seed repo streamed segments.
+  const std::function<void(const traj::Segment&)> add =
+      [&](const traj::Segment& s) {
+        ++ev.total_mutual;
+        int64_t dt = s.TimeLengthSeconds();
+        int64_t unit =
+            (dt + ev_opts.time_unit_seconds / 2) / ev_opts.time_unit_seconds;
+        bool compatible =
+            LegacyIsCompatible(s.first, s.second, ev_opts.vmax_mps);
+        if (unit >= ev_opts.horizon_units) {
+          if (!compatible) ++ev.beyond_horizon_incompatible;
+          return;
+        }
+        ev.units.push_back(static_cast<int32_t>(unit));
+        ev.incompatible.push_back(compatible ? 0 : 1);
+      };
+  traj::VisitMutualSegments(query, cand, add);
   int64_t k = ev.ObservedIncompatible();
   stats::PoissonBinomial reject_dist(ev.ProbsUnder(models.rejection));
   *p1_out = reject_dist.UpperTailPValue(k);
@@ -133,6 +140,10 @@ int main(int argc, char** argv) {
   const std::string out_path =
       argc > 1 ? argv[1] : "BENCH_query_hotpath.json";
   const std::string config = "SC";
+  // window_s is filled in with the run's length.
+  Stopwatch run_sw;
+  bench_e2e::ArtifactHeader header =
+      bench_e2e::MakeArtifactHeader(config, bench::BenchSeed(), 0.0);
   const size_t num_objects = bench::PaperScale() ? 1000 : 200;
   const size_t num_queries = bench::PaperScale() ? 64 : 24;
   const size_t hw_threads = std::max(1u, std::thread::hardware_concurrency());
@@ -357,6 +368,9 @@ int main(int argc, char** argv) {
             reg.GetCounter("ftl_query_tail_rna_total").Value()));
   }
 
+  header.window_s = run_sw.ElapsedSeconds();
+  io::JsonWriter hw;
+  bench_e2e::WriteArtifactHeader(header, &hw);
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
@@ -364,6 +378,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f,
                "{\n"
+               "  \"header\": %s,\n"
                "  \"bench\": \"query_hotpath\",\n"
                "  \"config\": \"%s\",\n"
                "  \"num_objects\": %zu,\n"
@@ -374,8 +389,9 @@ int main(int argc, char** argv) {
                "  \"speedup_serial_exact_vs_legacy\": %.4f,\n"
                "  \"speedup_parallel_vs_serial\": %.4f,\n"
                "  \"modes\": {\n",
-               config.c_str(), num_objects, db.size(), queries.size(),
-               hw_threads, max_pvalue_diff, speedup_exact, speedup_parallel);
+               hw.str().c_str(), config.c_str(), num_objects, db.size(),
+               queries.size(), hw_threads, max_pvalue_diff, speedup_exact,
+               speedup_parallel);
   for (size_t i = 0; i < modes.size(); ++i) {
     const ModeResult& m = modes[i];
     std::fprintf(f,

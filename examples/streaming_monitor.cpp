@@ -32,15 +32,11 @@ int main() {
                 models.status().ToString().c_str());
     return 1;
   }
-  core::EvidenceOptions ev;
-  ev.vmax_mps = to.vmax_mps;
-  ev.time_unit_seconds = to.time_unit_seconds;
-  ev.horizon_units = to.horizon_units;
 
   // Watch one phone identity; replay every transit record and the
   // watch's own CDR records in global time order.
   const traj::Trajectory& watch = data.cdr_db[11];
-  core::StreamingLinker linker(models.value(), ev);
+  core::StreamingLinker linker(models.value(), core::EvidenceOptionsFor(to));
   Status st = linker.AddWatch(watch.label());
   if (!st.ok()) {
     std::printf("%s\n", st.ToString().c_str());

@@ -128,11 +128,7 @@ void FtlEngine::SetModels(ModelPair models) {
 }
 
 EvidenceOptions FtlEngine::evidence_options() const {
-  EvidenceOptions ev;
-  ev.vmax_mps = options_.training.vmax_mps;
-  ev.time_unit_seconds = options_.training.time_unit_seconds;
-  ev.horizon_units = options_.training.horizon_units;
-  return ev;
+  return EvidenceOptionsFor(options_.training);
 }
 
 namespace {

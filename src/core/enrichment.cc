@@ -17,16 +17,18 @@ Result<EnrichedTrajectory> Enrich(const traj::Trajectory& p,
   out.q_label = q.label();
   auto aligned = traj::Align(p, q);
   out.records.reserve(aligned.size());
-  for (const auto& ar : aligned) {
+  for (size_t i = 0; i < aligned.size(); ++i) {
+    const traj::AlignedRecord& ar = aligned[i];
     out.records.push_back(EnrichedRecord{
         ar.record, ar.source == traj::Source::kP ? options.p_source_name
                                                  : options.q_source_name});
-  }
-  traj::ForEachMutualSegment(p, q, [&](const traj::Segment& s) {
-    if (!traj::IsCompatible(s.first, s.second, options.vmax_mps)) {
+    // A mutual segment is a source change between adjacent records.
+    if (i > 0 && aligned[i - 1].source != ar.source &&
+        !traj::IsCompatible(aligned[i - 1].record, ar.record,
+                            options.vmax_mps)) {
       ++out.incompatible_mutual_segments;
     }
-  });
+  }
   out.p_fraction = aligned.empty()
                        ? 0.0
                        : static_cast<double>(p.size()) /

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "traj/alignment.h"
 #include "util/thread_pool.h"
 
 namespace ftl::core {
@@ -19,9 +18,13 @@ class BucketAccumulator {
   explicit BucketAccumulator(const ModelTrainingOptions& options)
       : options_(options),
         incompat_(static_cast<size_t>(options.horizon_units), 0),
-        total_(static_cast<size_t>(options.horizon_units), 0) {}
+        total_(static_cast<size_t>(options.horizon_units), 0) {
+    // Sized here, so a copy made on the calling thread carries the
+    // buffers CollectEvidence refills in place (DESIGN.md §12).
+    pair_.Reset(static_cast<size_t>(options.horizon_units));
+  }
 
-  /// Adds one segment observation (Algorithm 1/2 inner loop).
+  /// Adds one self-segment observation (Algorithm 1 inner loop).
   void AddSegment(const traj::Record& a, const traj::Record& b) {
     int64_t dt = traj::TimeDiff(a, b);
     int64_t unit = (dt + options_.time_unit_seconds / 2) /
@@ -30,6 +33,18 @@ class BucketAccumulator {
     size_t u = static_cast<size_t>(unit);
     ++total_[u];
     if (!traj::IsCompatible(a, b, options_.vmax_mps)) ++incompat_[u];
+  }
+
+  /// Adds every mutual segment of W_pq (Algorithm 2 inner loop) from
+  /// the pair's bucket histogram; beyond-horizon segments stay in its
+  /// overflow slot.
+  void AddMutualSegments(const traj::Trajectory& p,
+                         const traj::Trajectory& q) {
+    CollectEvidence(p, q, EvidenceOptionsFor(options_), &pair_);
+    for (size_t u = 0; u < total_.size(); ++u) {
+      total_[u] += pair_.count[u];
+      incompat_[u] += pair_.incompatible[u];
+    }
   }
 
   /// Adds another accumulator's counts (same options).
@@ -112,6 +127,7 @@ class BucketAccumulator {
   const ModelTrainingOptions& options_;
   std::vector<int64_t> incompat_;
   std::vector<int64_t> total_;
+  BucketEvidence pair_;  ///< AddMutualSegments' scratch
 };
 
 Status ValidateOptions(const ModelTrainingOptions& options) {
@@ -188,15 +204,20 @@ void AccumulateDifferentPersonPairs(const traj::TrajectoryDatabase& db,
   }
   AccumulateParallel(pairs.size(), options, acc,
                      [&db, &pairs](size_t k, BucketAccumulator* out) {
-                       traj::VisitMutualSegments(
-                           db[pairs[k].first], db[pairs[k].second],
-                           [out](const traj::Segment& s) {
-                             out->AddSegment(s.first, s.second);
-                           });
+                       out->AddMutualSegments(db[pairs[k].first],
+                                              db[pairs[k].second]);
                      });
 }
 
 }  // namespace
+
+EvidenceOptions EvidenceOptionsFor(const ModelTrainingOptions& options) {
+  EvidenceOptions ev;
+  ev.vmax_mps = options.vmax_mps;
+  ev.time_unit_seconds = options.time_unit_seconds;
+  ev.horizon_units = options.horizon_units;
+  return ev;
+}
 
 Result<CompatibilityModel> BuildRejectionModel(
     const traj::TrajectoryDatabase& p, const traj::TrajectoryDatabase& q,

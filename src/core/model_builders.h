@@ -8,6 +8,7 @@
 #include <cstdint>
 
 #include "core/compatibility_model.h"
+#include "core/evidence.h"
 #include "traj/database.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -43,6 +44,11 @@ struct ModelTrainingOptions {
   uint64_t seed = 7;
 };
 
+/// The evidence discretization of models trained with `options`: the
+/// Vmax, time unit and horizon their buckets were counted with, which
+/// every query scoring against them must use too.
+EvidenceOptions EvidenceOptionsFor(const ModelTrainingOptions& options);
+
 /// Builds the rejection model M̂r (Algorithm 1): every *self*-segment of
 /// every individual trajectory in P ∪ Q is treated as a mutual segment of
 /// a same-person alignment, and per-bucket incompatibility frequencies
@@ -56,8 +62,10 @@ Result<CompatibilityModel> BuildRejectionModel(
 /// Builds the acceptance model M̂a (Algorithm 2): aligns pairs of
 /// *distinct* trajectories within the same database (different persons
 /// with high probability) and tabulates mutual-segment incompatibility
-/// frequencies. Pairs are sampled uniformly without replacement up to
-/// `options.acceptance_pairs_per_db` per database.
+/// frequencies. `options.acceptance_pairs_per_db` pairs are drawn per
+/// database, each uniformly and independently (so with replacement), and
+/// same-owner pairs are skipped. Each pair's counts come from
+/// CollectEvidence, the walk queries score with.
 Result<CompatibilityModel> BuildAcceptanceModel(
     const traj::TrajectoryDatabase& p, const traj::TrajectoryDatabase& q,
     const ModelTrainingOptions& options);

@@ -15,107 +15,62 @@ Status StreamingLinker::AddWatch(const std::string& label) {
     return Status::InvalidArgument("watch '" + label +
                                    "' already registered");
   }
-  WatchState ws;
-  ws.label = label;
-  ws.pairs.resize(candidate_labels_.size());
-  watches_.push_back(std::move(ws));
+  watches_.emplace_back(label, traj::kUnknownOwner,
+                        std::vector<traj::Record>{});
   return Status::OK();
-}
-
-void StreamingLinker::TouchPair(PairState* pair, StreamSide side,
-                                const traj::Record& record) const {
-  if (pair->has_last) {
-    bool mutual = pair->last_side != side;
-    if (mutual) {
-      MutualSegmentEvidence& ev = pair->evidence;
-      ++ev.total_mutual;
-      int64_t dt = traj::TimeDiff(pair->last_record, record);
-      int64_t unit =
-          (dt + options_.time_unit_seconds / 2) / options_.time_unit_seconds;
-      bool compatible =
-          traj::IsCompatible(pair->last_record, record, options_.vmax_mps);
-      if (unit >= options_.horizon_units) {
-        if (!compatible) ++ev.beyond_horizon_incompatible;
-      } else {
-        ev.units.push_back(static_cast<int32_t>(unit));
-        ev.incompatible.push_back(compatible ? 0 : 1);
-      }
-    }
-  }
-  pair->last_record = record;
-  pair->last_side = side;
-  pair->has_last = true;
 }
 
 Status StreamingLinker::Ingest(StreamSide side, const std::string& label,
                                const traj::Record& record) {
-  if (any_ingested_ && record.t < last_time_) {
+  if (ingested_ > 0 && record.t < last_time_) {
     return Status::InvalidArgument(
         "records must arrive in non-decreasing time order (got t=" +
         std::to_string(record.t) + " after t=" +
         std::to_string(last_time_) + ")");
   }
+  traj::Trajectory* owner;
   if (side == StreamSide::kQuery) {
     auto it = watch_index_.find(label);
     if (it == watch_index_.end()) {
       return Status::NotFound("query label '" + label +
                               "' was not registered with AddWatch");
     }
-    // A watch record extends the alignment of every pair of this watch.
-    WatchState& ws = watches_[it->second];
-    for (auto& pair : ws.pairs) {
-      TouchPair(&pair, side, record);
-    }
-    ws.last_watch_record = record;
-    ws.has_watch_record = true;
+    owner = &watches_[it->second];
   } else {
     auto [it, inserted] =
         candidate_index_.emplace(label, candidate_labels_.size());
     if (inserted) {
       candidate_labels_.push_back(label);
-      for (auto& ws : watches_) {
-        PairState pair;
-        if (ws.has_watch_record) {
-          pair.last_record = ws.last_watch_record;
-          pair.last_side = StreamSide::kQuery;
-          pair.has_last = true;
-        }
-        ws.pairs.push_back(std::move(pair));
-      }
+      candidates_.emplace_back();
     }
-    size_t ci = it->second;
-    for (auto& ws : watches_) {
-      TouchPair(&ws.pairs[ci], side, record);
-    }
+    owner = &candidates_[it->second];
   }
+  // Global time order implies each label's, so the append cannot fail.
+  FTL_RETURN_NOT_OK(owner->Append(record));
   last_time_ = record.t;
-  any_ingested_ = true;
   ++ingested_;
   return Status::OK();
 }
 
-PairBelief StreamingLinker::MakeBelief(const WatchState& watch,
+PairBelief StreamingLinker::MakeBelief(const traj::Trajectory& watch,
                                        size_t cand_idx,
                                        BeliefScratch* scratch) const {
-  const PairState& pair = watch.pairs[cand_idx];
+  // The watch is the alignment's P side, so ties merge P-first exactly
+  // as in batch scoring.
+  BucketEvidence& ev = scratch->buckets;
+  CollectEvidence(watch, candidates_[cand_idx], options_, &ev);
   PairBelief b;
-  b.watch_label = watch.label;
+  b.watch_label = watch.label();
   b.candidate_label = candidate_labels_[cand_idx];
-  b.informative_segments = pair.evidence.size();
-  b.incompatible = pair.evidence.ObservedIncompatible();
-  // Compact the accumulated per-segment evidence and evaluate both
-  // tails with the grouped kernel: O(n + convolution) instead of two
-  // O(n^2) per-trial DPs, with scratch reused across a ranking pass.
-  CompactEvidence(pair.evidence,
-                  static_cast<size_t>(options_.horizon_units),
-                  &scratch->buckets);
+  b.informative_segments = static_cast<size_t>(ev.informative);
+  b.incompatible = ev.k_observed;
   stats::GroupedTailParams tail;
-  scratch->buckets.GroupsUnder(models_.rejection, &scratch->pb.groups);
+  ev.GroupsUnder(models_.rejection, &scratch->pb.groups);
   b.p1 = stats::GroupedPoissonBinomialTails(scratch->pb.groups,
                                             b.incompatible, tail,
                                             &scratch->pb)
              .upper;
-  scratch->buckets.GroupsUnder(models_.acceptance, &scratch->pb.groups);
+  ev.GroupsUnder(models_.acceptance, &scratch->pb.groups);
   b.p2 = stats::GroupedPoissonBinomialTails(scratch->pb.groups,
                                             b.incompatible, tail,
                                             &scratch->pb)
@@ -145,12 +100,12 @@ Result<std::vector<PairBelief>> StreamingLinker::RankedCandidates(
   if (wit == watch_index_.end()) {
     return Status::NotFound("unknown watch '" + watch_label + "'");
   }
-  const WatchState& ws = watches_[wit->second];
+  const traj::Trajectory& watch = watches_[wit->second];
   std::vector<PairBelief> beliefs;
-  beliefs.reserve(ws.pairs.size());
+  beliefs.reserve(candidates_.size());
   BeliefScratch scratch;
-  for (size_t ci = 0; ci < ws.pairs.size(); ++ci) {
-    beliefs.push_back(MakeBelief(ws, ci, &scratch));
+  for (size_t ci = 0; ci < candidates_.size(); ++ci) {
+    beliefs.push_back(MakeBelief(watch, ci, &scratch));
   }
   std::stable_sort(beliefs.begin(), beliefs.end(),
                    [](const PairBelief& a, const PairBelief& b) {

@@ -8,14 +8,18 @@
 /// motivating applications (disease control, investigations) are really
 /// *monitoring* problems: records keep arriving and an analyst watches a
 /// few query identities against a population of candidates. The
-/// StreamingLinker maintains, for every (watch query, candidate) pair,
-/// the incremental mutual-segment evidence of their alignment, so the
-/// current classification is available at any moment in O(1) state per
-/// pair and O(touched pairs) work per ingested record.
+/// StreamingLinker keeps each label's records as a time-ordered
+/// trajectory and scores a (watch query, candidate) pair on demand with
+/// the walk batch scoring uses (CollectEvidence into BucketEvidence) and
+/// the two grouped tails. Ingest is an amortized O(1) append and state
+/// is O(records); a belief costs O(|watch| + |candidate|) plus its
+/// tails.
 ///
-/// Correctness invariant: after ingesting any prefix of the merged
-/// record streams in non-decreasing time order, each pair's evidence
-/// equals CollectEvidence() on the batch prefixes (verified by tests).
+/// Invariant: after ingesting any prefix of the merged record streams in
+/// non-decreasing time order, each belief's evidence equals
+/// CollectEvidence() on the batch prefixes, by construction; in
+/// particular equal timestamps merge P-first whatever their arrival
+/// order.
 
 #include <cstdint>
 #include <string>
@@ -25,6 +29,7 @@
 #include "core/evidence.h"
 #include "core/model_builders.h"
 #include "traj/record.h"
+#include "traj/trajectory.h"
 #include "util/status.h"
 
 namespace ftl::core {
@@ -87,46 +92,23 @@ class StreamingLinker {
   }
 
  private:
-  /// Evidence accumulator for one (watch, candidate) pair.
-  struct PairState {
-    // Last record seen across BOTH streams of this pair, and its side.
-    traj::Record last_record;
-    StreamSide last_side = StreamSide::kQuery;
-    bool has_last = false;
-    MutualSegmentEvidence evidence;
-  };
-
-  struct WatchState {
-    std::string label;
-    // candidate index -> pair state
-    std::vector<PairState> pairs;
-    // Most recent watch record: seeds pair state for candidates that
-    // first appear after this watch has already emitted records (their
-    // earlier watch records only form self-segments, so only the last
-    // one affects future mutual segments).
-    traj::Record last_watch_record;
-    bool has_watch_record = false;
-  };
-
-  /// Reusable buffers for p-value evaluation across a ranking pass.
+  /// Reusable buffers for belief evaluation across a ranking pass.
   struct BeliefScratch {
     BucketEvidence buckets;
     stats::GroupedPbWorkspace pb;
   };
 
-  void TouchPair(PairState* pair, StreamSide side,
-                 const traj::Record& record) const;
-  PairBelief MakeBelief(const WatchState& watch, size_t cand_idx,
+  PairBelief MakeBelief(const traj::Trajectory& watch, size_t cand_idx,
                         BeliefScratch* scratch) const;
 
   ModelPair models_;
   EvidenceOptions options_;
-  std::vector<WatchState> watches_;
+  std::vector<traj::Trajectory> watches_;
   std::unordered_map<std::string, size_t> watch_index_;
+  std::vector<traj::Trajectory> candidates_;  ///< parallel to candidate_labels_
   std::vector<std::string> candidate_labels_;
   std::unordered_map<std::string, size_t> candidate_index_;
   int64_t last_time_ = 0;
-  bool any_ingested_ = false;
   int64_t ingested_ = 0;
 };
 

@@ -26,27 +26,4 @@ std::vector<AlignedRecord> Align(const Trajectory& p, const Trajectory& q) {
   return out;
 }
 
-void ForEachSegment(const Trajectory& p, const Trajectory& q,
-                    const std::function<void(const Segment&)>& fn) {
-  VisitSegments(p, q, [&fn](const Segment& s) { fn(s); });
-}
-
-void ForEachMutualSegment(const Trajectory& p, const Trajectory& q,
-                          const std::function<void(const Segment&)>& fn) {
-  VisitMutualSegments(p, q, [&fn](const Segment& s) { fn(s); });
-}
-
-std::vector<Segment> MutualSegments(const Trajectory& p,
-                                    const Trajectory& q) {
-  std::vector<Segment> out;
-  VisitMutualSegments(p, q, [&out](const Segment& s) { out.push_back(s); });
-  return out;
-}
-
-size_t CountMutualSegments(const Trajectory& p, const Trajectory& q) {
-  size_t n = 0;
-  VisitMutualSegments(p, q, [&n](const Segment&) { ++n; });
-  return n;
-}
-
 }  // namespace ftl::traj

@@ -16,8 +16,8 @@
 /// FlatTrajectoryView is the per-trajectory window into the columns:
 /// it satisfies the trajectory-like concept of traj/alignment.h
 /// (`size()`, `operator[]`, `front()`, `back()`, `empty()`, `label()`),
-/// so SegmentCursor / VisitSegments and the engine's scoring hot path
-/// stream segments straight out of the columns.
+/// so VisitSegments and the engine's scoring hot path stream segments
+/// straight out of the columns.
 
 #include <cstdint>
 #include <memory>

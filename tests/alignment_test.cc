@@ -12,6 +12,16 @@ Trajectory T(const std::string& label, std::vector<Record> recs) {
   return Trajectory(label, 0, std::move(recs));
 }
 
+std::vector<Segment> Mutuals(const Trajectory& p, const Trajectory& q) {
+  std::vector<Segment> out;
+  VisitMutualSegments(p, q, [&out](const Segment& s) { out.push_back(s); });
+  return out;
+}
+
+size_t CountMutual(const Trajectory& p, const Trajectory& q) {
+  return Mutuals(p, q).size();
+}
+
 TEST(AlignmentTest, MergesInTimeOrder) {
   Trajectory p = T("p", {R(1, 0, 10), R(2, 0, 30)});
   Trajectory q = T("q", {R(3, 0, 20), R(4, 0, 40)});
@@ -39,7 +49,7 @@ TEST(AlignmentTest, PaperFigure3Pattern) {
   ASSERT_EQ(w.size(), expect.size());
   for (size_t i = 0; i < w.size(); ++i) EXPECT_EQ(w[i].source, expect[i]);
   // Mutual segments: (p1,q1),(q2,p2),(p3,q3),(q3,p4),(p4,q4) -> 5.
-  EXPECT_EQ(CountMutualSegments(p, q), 5u);
+  EXPECT_EQ(CountMutual(p, q), 5u);
 }
 
 TEST(AlignmentTest, TieBreaksPFirst) {
@@ -55,15 +65,24 @@ TEST(AlignmentTest, EmptyTrajectories) {
   Trajectory p = T("p", {});
   Trajectory q = T("q", {R(0, 0, 1)});
   EXPECT_EQ(Align(p, q).size(), 1u);
-  EXPECT_EQ(CountMutualSegments(p, q), 0u);
-  EXPECT_EQ(CountMutualSegments(p, p), 0u);
+  EXPECT_EQ(CountMutual(p, q), 0u);
+  EXPECT_EQ(CountMutual(p, p), 0u);
+  // A one-sided alignment has only self-segments.
+  Trajectory two = T("t", {R(0, 0, 1), R(0, 0, 9)});
+  std::vector<Segment> segments;
+  VisitSegments(two, p, [&segments](const Segment& s) {
+    segments.push_back(s);
+  });
+  ASSERT_EQ(segments.size(), 1u);
+  EXPECT_FALSE(segments[0].mutual);
+  EXPECT_EQ(segments[0].TimeLengthSeconds(), 8);
 }
 
 TEST(AlignmentTest, SegmentCountIsTotalMinusOne) {
   Trajectory p = T("p", {R(0, 0, 1), R(0, 0, 5), R(0, 0, 9)});
   Trajectory q = T("q", {R(0, 0, 3), R(0, 0, 7)});
   size_t segments = 0;
-  ForEachSegment(p, q, [&segments](const Segment&) { ++segments; });
+  VisitSegments(p, q, [&segments](const Segment&) { ++segments; });
   EXPECT_EQ(segments, 4u);
 }
 
@@ -72,7 +91,7 @@ TEST(AlignmentTest, SelfVsMutualClassification) {
   Trajectory p = T("p", {R(0, 0, 1), R(0, 0, 2)});
   Trajectory q = T("q", {R(0, 0, 3), R(0, 0, 4)});
   std::vector<bool> mutual;
-  ForEachSegment(p, q, [&mutual](const Segment& s) {
+  VisitSegments(p, q, [&mutual](const Segment& s) {
     mutual.push_back(s.mutual);
   });
   ASSERT_EQ(mutual.size(), 3u);
@@ -84,39 +103,30 @@ TEST(AlignmentTest, SelfVsMutualClassification) {
 TEST(AlignmentTest, PerfectInterleavingAllMutual) {
   Trajectory p = T("p", {R(0, 0, 1), R(0, 0, 3), R(0, 0, 5)});
   Trajectory q = T("q", {R(0, 0, 2), R(0, 0, 4), R(0, 0, 6)});
-  EXPECT_EQ(CountMutualSegments(p, q), 5u);
+  EXPECT_EQ(CountMutual(p, q), 5u);
 }
 
 TEST(AlignmentTest, DisjointSpansOneMutualSegment) {
   Trajectory p = T("p", {R(0, 0, 1), R(0, 0, 2)});
   Trajectory q = T("q", {R(0, 0, 100), R(0, 0, 200)});
-  EXPECT_EQ(CountMutualSegments(p, q), 1u);
-}
-
-TEST(AlignmentTest, MutualSegmentsMatchForEach) {
-  Trajectory p = T("p", {R(0, 0, 1), R(0, 0, 4)});
-  Trajectory q = T("q", {R(0, 0, 2), R(0, 0, 6)});
-  auto ms = MutualSegments(p, q);
-  size_t counted = CountMutualSegments(p, q);
-  EXPECT_EQ(ms.size(), counted);
-  for (const auto& s : ms) EXPECT_TRUE(s.mutual);
+  EXPECT_EQ(CountMutual(p, q), 1u);
 }
 
 TEST(AlignmentTest, SegmentTimeLength) {
   Trajectory p = T("p", {R(0, 0, 10)});
   Trajectory q = T("q", {R(0, 0, 70)});
-  auto ms = MutualSegments(p, q);
+  auto ms = Mutuals(p, q);
   ASSERT_EQ(ms.size(), 1u);
   EXPECT_EQ(ms[0].TimeLengthSeconds(), 60);
 }
 
 TEST(AlignmentTest, StreamingMatchesMaterialized) {
-  // Property: ForEachSegment yields exactly the adjacent pairs of Align.
+  // Property: VisitSegments yields exactly the adjacent pairs of Align.
   Trajectory p = T("p", {R(1, 1, 5), R(2, 2, 15), R(3, 3, 25), R(4, 4, 99)});
   Trajectory q = T("q", {R(5, 5, 10), R(6, 6, 20), R(7, 7, 50)});
   auto aligned = Align(p, q);
   std::vector<Segment> streamed;
-  ForEachSegment(p, q, [&streamed](const Segment& s) {
+  VisitSegments(p, q, [&streamed](const Segment& s) {
     streamed.push_back(s);
   });
   ASSERT_EQ(streamed.size(), aligned.size() - 1);
@@ -126,71 +136,6 @@ TEST(AlignmentTest, StreamingMatchesMaterialized) {
     EXPECT_EQ(streamed[i].mutual,
               aligned[i].source != aligned[i + 1].source);
   }
-}
-
-TEST(AlignmentTest, VisitSegmentsMatchesForEach) {
-  // The inlined template variant must yield the exact segment sequence
-  // of the type-erased wrapper.
-  Trajectory p = T("p", {R(1, 1, 5), R(2, 2, 15), R(3, 3, 25)});
-  Trajectory q = T("q", {R(5, 5, 10), R(6, 6, 15), R(7, 7, 50)});
-  std::vector<Segment> erased, inlined;
-  ForEachSegment(p, q, [&erased](const Segment& s) { erased.push_back(s); });
-  VisitSegments(p, q, [&inlined](const Segment& s) { inlined.push_back(s); });
-  ASSERT_EQ(inlined.size(), erased.size());
-  for (size_t i = 0; i < erased.size(); ++i) {
-    EXPECT_EQ(inlined[i].first, erased[i].first);
-    EXPECT_EQ(inlined[i].second, erased[i].second);
-    EXPECT_EQ(inlined[i].mutual, erased[i].mutual);
-  }
-}
-
-TEST(AlignmentTest, SegmentCursorMatchesVisit) {
-  Rng rng(99);
-  for (int trial = 0; trial < 10; ++trial) {
-    std::vector<Record> pr, qr;
-    size_t np = rng.Index(20);
-    size_t nq = rng.Index(20);
-    for (size_t i = 0; i < np; ++i) {
-      pr.push_back(R(rng.Uniform(0, 100), rng.Uniform(0, 100),
-                     rng.UniformInt(0, 1000)));
-    }
-    for (size_t i = 0; i < nq; ++i) {
-      qr.push_back(R(rng.Uniform(0, 100), rng.Uniform(0, 100),
-                     rng.UniformInt(0, 1000)));
-    }
-    Trajectory p("p", 0, std::move(pr));
-    Trajectory q("q", 1, std::move(qr));
-    std::vector<Segment> visited;
-    VisitSegments(p, q,
-                  [&visited](const Segment& s) { visited.push_back(s); });
-    SegmentCursor cur(p, q);
-    Segment s;
-    size_t i = 0;
-    while (cur.Next(&s)) {
-      ASSERT_LT(i, visited.size()) << "trial " << trial;
-      EXPECT_EQ(s.first, visited[i].first) << "trial " << trial;
-      EXPECT_EQ(s.second, visited[i].second) << "trial " << trial;
-      EXPECT_EQ(s.mutual, visited[i].mutual) << "trial " << trial;
-      ++i;
-    }
-    EXPECT_EQ(i, visited.size()) << "trial " << trial;
-  }
-}
-
-TEST(AlignmentTest, SegmentCursorEmptyAndSingleton) {
-  Trajectory empty = T("e", {});
-  Trajectory one = T("o", {R(0, 0, 5)});
-  Segment s;
-  SegmentCursor both_empty(empty, empty);
-  EXPECT_FALSE(both_empty.Next(&s));
-  SegmentCursor single(one, empty);
-  EXPECT_FALSE(single.Next(&s));
-  Trajectory two = T("t", {R(0, 0, 1), R(0, 0, 9)});
-  SegmentCursor pair(two, empty);
-  ASSERT_TRUE(pair.Next(&s));
-  EXPECT_FALSE(s.mutual);
-  EXPECT_EQ(s.TimeLengthSeconds(), 8);
-  EXPECT_FALSE(pair.Next(&s));
 }
 
 // Parameterized property sweep: mutual + self segments == total - 1 for
@@ -214,11 +159,11 @@ TEST_P(AlignmentPropertyTest, SegmentPartition) {
   Trajectory p("p", 0, std::move(pr));
   Trajectory q("q", 1, std::move(qr));
   size_t mutual = 0, self = 0;
-  ForEachSegment(p, q, [&](const Segment& s) { s.mutual ? ++mutual : ++self; });
+  VisitSegments(p, q, [&](const Segment& s) { s.mutual ? ++mutual : ++self; });
   EXPECT_EQ(mutual + self, np + nq - 1);
-  EXPECT_EQ(mutual, CountMutualSegments(p, q));
+  EXPECT_EQ(mutual, CountMutual(p, q));
   // Alignment is symmetric in segment counts.
-  EXPECT_EQ(CountMutualSegments(q, p), mutual);
+  EXPECT_EQ(CountMutual(q, p), mutual);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTrajectories, AlignmentPropertyTest,

@@ -372,7 +372,7 @@ TEST(ModelPairTest, ParallelBuildMatchesSerialReference) {
           ++skipped;
           continue;
         }
-        traj::ForEachMutualSegment(
+        traj::VisitMutualSegments(
             (*db)[i], (*db)[j], [&acceptance](const traj::Segment& s) {
               acceptance.Add(s.first, s.second);
             });

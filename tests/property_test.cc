@@ -267,7 +267,11 @@ TEST_P(AlignmentFuzzTest, MatchesBruteForce) {
   for (size_t i = 1; i < all.size(); ++i) {
     if (all[i].src != all[i - 1].src) ++brute;
   }
-  EXPECT_EQ(traj::CountMutualSegments(p, q), brute);
+  size_t mutual = 0;
+  traj::VisitMutualSegments(p, q, [&mutual](const traj::Segment&) {
+    ++mutual;
+  });
+  EXPECT_EQ(mutual, brute);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AlignmentFuzzTest, ::testing::Range(0, 16));

@@ -100,14 +100,18 @@ TEST(StreamingTest, MatchesBatchEvidenceSimpleInterleave) {
 
 TEST(StreamingTest, MatchesBatchEvidenceRandomized) {
   // Property: for random streams, incremental evidence == batch
-  // evidence on every prefix boundary we probe.
+  // evidence on every prefix boundary we probe. From trial 10 on, half
+  // the time steps are 0, so records of both sides share timestamps and
+  // arrive in random side order; the batch alignment still merges each
+  // tie P-first (c@0, w@0, c@60 has one mutual segment, not two).
   Rng rng(99);
-  for (int trial = 0; trial < 10; ++trial) {
+  for (int trial = 0; trial < 20; ++trial) {
     std::vector<Record> wr, cr;
     int64_t t = 0;
     std::vector<std::pair<StreamSide, Record>> events;
     for (int i = 0; i < 60; ++i) {
-      t += rng.UniformInt(5, 400);
+      const bool tie = trial >= 10 && rng.Bernoulli(0.5);
+      t += tie ? 0 : rng.UniformInt(5, 400);
       Record r = R(rng.Uniform(0, 20000), rng.Uniform(0, 20000), t);
       if (rng.Bernoulli(0.5)) {
         wr.push_back(r);
@@ -210,12 +214,7 @@ TEST(StreamingTest, LiveLinkingFindsTruePartner) {
   to.horizon_units = 30;
   auto models = BuildModels(data.cdr_db, data.transit_db, to);
   ASSERT_TRUE(models.ok());
-  EvidenceOptions ev;
-  ev.vmax_mps = to.vmax_mps;
-  ev.time_unit_seconds = to.time_unit_seconds;
-  ev.horizon_units = to.horizon_units;
-
-  StreamingLinker linker(models.value(), ev);
+  StreamingLinker linker(models.value(), EvidenceOptionsFor(to));
   const Trajectory& watch = data.cdr_db[4];
   ASSERT_TRUE(linker.AddWatch(watch.label()).ok());
 
