@@ -10,7 +10,8 @@
 //   * grouped_exact  — bucket-compacted evidence + grouped Binomial
 //                      convolution, scratch reuse, no fast-reject.
 //   * grouped_fast   — the engine default: grouped kernel plus the
-//                      Hoeffding fast-reject bound.
+//                      Hoeffding fast-reject bound and the certified
+//                      p2 floor.
 //   * rna            — grouped moments + refined normal approximation
 //                      (forced; the engine default only engages it for
 //                      very long alignments under an error guard).
@@ -20,13 +21,18 @@
 // Emits BENCH_query_hotpath.json (path overridable via argv[1]),
 // headed by the commit/host/nproc/isa header bench_e2e artifacts carry,
 // so the perf trajectory can be compared across commits and hosts.
+// Exits 2 unless the grouped p-values match the per-trial DP and the
+// fast modes return grouped_exact_serial's candidates for every query.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/e2e/artifact.h"
@@ -114,6 +120,9 @@ LatencyStats Percentiles(std::vector<double>* samples_us) {
   return s;
 }
 
+/// One query's candidates: labels and score bits, in rank order.
+using Answer = std::vector<std::pair<std::string, uint64_t>>;
+
 struct ModeResult {
   std::string name;
   int64_t pairs = 0;
@@ -123,6 +132,7 @@ struct ModeResult {
   LatencyStats query_latency;  // per-query (ms), all modes
   size_t threads = 1;
   size_t accepted = 0;
+  std::vector<Answer> answers;  // engine modes, one per query
 };
 
 void PrintMode(const ModeResult& m) {
@@ -267,6 +277,11 @@ int main(int argc, char** argv) {
         }
         r_m.accepted += r.value().candidates.size();
         r_m.pairs += static_cast<int64_t>(db.size());
+        Answer answer;
+        for (const core::MatchCandidate& c : r.value().candidates) {
+          answer.emplace_back(c.label, std::bit_cast<uint64_t>(c.score));
+        }
+        r_m.answers.push_back(std::move(answer));
         query_ms.push_back(qsw.ElapsedMillis());
       }
       r_m.seconds = total.ElapsedSeconds();
@@ -275,10 +290,13 @@ int main(int argc, char** argv) {
       if (rep == 0 || r_m.seconds < m.seconds) m = std::move(r_m);
     }
     // Per-pair latency (serial modes): the classifier-level hot path —
-    // bucket evidence collection plus grouped classification — timed
-    // pair by pair with reused scratch.
+    // bucket evidence collection plus grouped classification with the
+    // engine's p2 floor — timed pair by pair with reused scratch.
     if (threads == 1) {
-      core::AlphaFilter filter(models, opts.alpha);
+      const core::AcceptanceFloor floor(
+          models.acceptance,
+          static_cast<size_t>(opts.training.horizon_units));
+      core::AlphaFilter filter(models, opts.alpha, &floor);
       stats::GroupedPbWorkspace ws;
       core::BucketEvidence buckets;
       std::vector<double> pair_us;
@@ -338,6 +356,18 @@ int main(int argc, char** argv) {
       "parallel speedup vs serial:      %.2fx on %zu threads\n",
       speedup_exact, speedup_parallel, hw_threads);
 
+  // The bounds only skip tails of rejected pairs, so the fast modes
+  // must return the exact mode's candidates, labels and score bits, for
+  // every query. rna_serial forces the RNA and is not compared.
+  bool decisions_identical = true;
+  for (const char* name : {"grouped_fast_serial", "grouped_fast_parallel"}) {
+    const bool same = find_mode(name).answers ==
+                      find_mode("grouped_exact_serial").answers;
+    std::printf("decisions: %s vs grouped_exact_serial %s\n", name,
+                same ? "identical (OK)" : "DIFFER (FAIL)");
+    decisions_identical = decisions_identical && same;
+  }
+
   // ------------------------------------------------- metrics snapshot
   // The engine modes above ran fully instrumented; report what the obs
   // layer saw (sampled stage timers, fast-reject counters) so the bench
@@ -386,11 +416,13 @@ int main(int argc, char** argv) {
                "  \"num_queries\": %zu,\n"
                "  \"hardware_threads\": %zu,\n"
                "  \"max_pvalue_diff_vs_dp\": %.6e,\n"
+               "  \"decisions_identical\": %s,\n"
                "  \"speedup_serial_exact_vs_legacy\": %.4f,\n"
                "  \"speedup_parallel_vs_serial\": %.4f,\n"
                "  \"modes\": {\n",
                hw.str().c_str(), config.c_str(), num_objects, db.size(),
-               queries.size(), hw_threads, max_pvalue_diff, speedup_exact,
+               queries.size(), hw_threads, max_pvalue_diff,
+               decisions_identical ? "true" : "false", speedup_exact,
                speedup_parallel);
   for (size_t i = 0; i < modes.size(); ++i) {
     const ModeResult& m = modes[i];
@@ -415,5 +447,5 @@ int main(int argc, char** argv) {
                ftl::obs::DumpJson().c_str());
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
-  return max_pvalue_diff <= 1e-12 ? 0 : 2;
+  return max_pvalue_diff <= 1e-12 && decisions_identical ? 0 : 2;
 }

@@ -8,9 +8,69 @@
 
 namespace ftl::core {
 
+namespace {
+
+/// The floor certifies only while P0 = exp(L) > e^-690. Every term of
+/// L is one group's n·log1p(−p), and the float sum of non-positive
+/// terms is at most each of them, so each group's q^n in the exact
+/// path is then built by exp, not by the lgamma fallback, and stays a
+/// normal double: the regime DESIGN.md §6's margin covers.
+constexpr double kMinLogP0 = -690.0;
+
+constexpr double kUnitRoundoff = 0x1p-53;
+
+}  // namespace
+
+AcceptanceFloor::AcceptanceFloor(const CompatibilityModel& acceptance,
+                                 size_t horizon_units)
+    : terms_(2 * horizon_units, 0.0), certifies_(true) {
+  const std::vector<double>& probs = acceptance.probs();
+  for (size_t u = 0; u < horizon_units; ++u) {
+    // Units past the model horizon have p = 0, as in GroupsUnder. The
+    // margin is derived for groups the exact path convolves, 0 < p < 1
+    // (it skips p = 0 and shifts the support for p = 1), so any other
+    // p, NaN included, turns the floor off.
+    const double p = u < probs.size() ? probs[u] : 0.0;
+    certifies_ = certifies_ && p > 0.0 && p < 1.0;
+    // The expressions BinomialPmfPrefix evaluates for the same p.
+    terms_[2 * u] = std::log1p(-p);
+    terms_[2 * u + 1] = p / (1.0 - p);
+  }
+  margin_factor_ = 1.0 + 1400.0 * kUnitRoundoff *
+                             (static_cast<double>(horizon_units) + 11.0);
+}
+
+bool AcceptanceFloor::CertainlyRejects(const BucketEvidence& evidence,
+                                       double alpha2, size_t rna_min_trials,
+                                       double* floor) const {
+  // From rna_min_trials informative segments on, the exact path may
+  // answer with the RNA, which the floor does not bound.
+  const size_t h = terms_.size() / 2;
+  if (!certifies_ || !(alpha2 <= 1.0) || evidence.horizon_units() != h ||
+      static_cast<size_t>(evidence.informative) >= rna_min_trials) {
+    return false;
+  }
+  // Branch-free over the histogram, as the Chernoff mean: empty units
+  // add 0.
+  double log_p0 = 0.0;
+  double odds = 0.0;
+  for (size_t u = 0; u < h; ++u) {
+    const double n_u = static_cast<double>(evidence.count[u]);
+    log_p0 += n_u * terms_[2 * u];
+    odds += n_u * terms_[2 * u + 1];
+  }
+  if (!(log_p0 > kMinLogP0)) return false;
+  double f = std::exp(log_p0);
+  if (evidence.k_observed >= 1) f *= 1.0 + odds;
+  if (!(f >= alpha2 * margin_factor_)) return false;
+  *floor = f;
+  return true;
+}
+
 AlphaFilter::AlphaFilter(const ModelPair& models,
-                         const AlphaFilterParams& params)
-    : models_(models), params_(params) {}
+                         const AlphaFilterParams& params,
+                         const AcceptanceFloor* floor)
+    : models_(models), params_(params), floor_(floor) {}
 
 AlphaFilterDecision AlphaFilter::Classify(
     const MutualSegmentEvidence& evidence) const {
@@ -75,6 +135,17 @@ AlphaFilterDecision AlphaFilter::Classify(
         return d;
       }
     }
+  }
+  // A pair with p2 >= alpha2 is rejected whatever p1 is, so a floor
+  // that certifies p2 >= alpha2 decides the pair before any tail is
+  // built (DESIGN.md §6).
+  double floor = 0.0;
+  if (params_.fast_reject && floor_ != nullptr &&
+      floor_->CertainlyRejects(evidence, params_.alpha2,
+                               params_.tail.rna_min_trials, &floor)) {
+    d.p2 = floor;
+    d.fast_rejected = true;
+    return d;
   }
   // The sampled stage timers wrap the two grouped-kernel stages; when
   // stage_times is null (the hot path) no clock is read.

@@ -93,14 +93,15 @@ Status QueryOptions::Check() const {
 FtlEngine::FtlEngine(EngineOptions options)
     : options_(std::move(options)),
       nb_(models_, options_.naive_bayes) {
-  TabulateNaiveBayes();
+  TabulateModels();
 }
 
-void FtlEngine::TabulateNaiveBayes() {
+void FtlEngine::TabulateModels() {
+  const auto horizon = static_cast<size_t>(
+      std::max<int64_t>(0, options_.training.horizon_units));
   nb_ = NaiveBayesMatcher(models_, options_.naive_bayes);
-  nb_reject_ = NaiveBayesFastReject(
-      nb_, static_cast<size_t>(
-               std::max<int64_t>(0, options_.training.horizon_units)));
+  nb_reject_ = NaiveBayesFastReject(nb_, horizon);
+  alpha_floor_ = AcceptanceFloor(models_.acceptance, horizon);
 }
 
 Status FtlEngine::Train(const traj::TrajectoryDatabase& p,
@@ -109,7 +110,7 @@ Status FtlEngine::Train(const traj::TrajectoryDatabase& p,
   auto models = BuildModels(p, q, options_.training);
   if (!models.ok()) return models.status();
   models_ = std::move(models).value();
-  TabulateNaiveBayes();
+  TabulateModels();
   trained_ = true;
   return Status::OK();
 }
@@ -123,7 +124,7 @@ void FtlEngine::SetModels(ModelPair models) {
   // fills every bucket.
   models_.rejection.RepairUnsupportedBuckets();
   models_.acceptance.RepairUnsupportedBuckets();
-  TabulateNaiveBayes();
+  TabulateModels();
   trained_ = true;
 }
 
@@ -252,8 +253,9 @@ bool FtlEngine::ScoreOne(const QueryT& query, const CandT& cand,
   }
 
   // Single implementation of the two-phase test (Chernoff–KL
-  // fast-reject, truncated exact tails, lazy p2) lives in AlphaFilter;
-  // the filter view is constructed once per batch by the caller.
+  // fast-reject, certified p2 floor, truncated exact tails, lazy p2)
+  // lives in AlphaFilter; the filter view is constructed once per batch
+  // by the caller. Both bounds count as fast rejects.
   CollectEvidence(query, cand, ev_opts, &scratch->evidence);
   const int64_t alignment_ns = clock.Lap();
   out->k_observed = ev.k_observed;
@@ -290,7 +292,7 @@ void FtlEngine::ScorePairBatch(const QueryT& query, const DbT& db,
                                uint8_t* accepted,
                                ScoreScratch* scratch) const {
   const EvidenceOptions ev_opts = evidence_options();
-  const AlphaFilter filter(models_, options_.alpha);
+  const AlphaFilter filter(models_, options_.alpha, &alpha_floor_);
   for (size_t b = 0; b < n; ++b) {
     // Reset the slot (the staging arrays are reused across batches and
     // accepted candidates are moved out of them).

@@ -315,9 +315,9 @@ class FtlEngine {
                                 ScoreScratch* scratch,
                                 const QueryOptions* qopts) const;
 
-  /// Rebuilds nb_ and nb_reject_ from models_ (the constructor, Train
-  /// and SetModels).
-  void TabulateNaiveBayes();
+  /// Rebuilds nb_, nb_reject_ and alpha_floor_ from models_ (the
+  /// constructor, Train and SetModels).
+  void TabulateModels();
 
   EngineOptions options_;
   ModelPair models_;
@@ -325,6 +325,9 @@ class FtlEngine {
   /// nb_'s log-likelihood ratios over the evidence horizon and their
   /// float margin, rebuilt with nb_.
   NaiveBayesFastReject nb_reject_;
+  /// The acceptance model's certified α2 floor over the evidence
+  /// horizon, rebuilt with nb_ and handed to every batch's AlphaFilter.
+  AcceptanceFloor alpha_floor_;
   bool trained_ = false;
 };
 

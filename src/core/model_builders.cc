@@ -12,16 +12,33 @@ namespace ftl::core {
 
 namespace {
 
-/// Shared bucket accumulator for both builders.
-class BucketAccumulator {
+constexpr size_t kCacheLine = 64;
+
+/// Reserves `n` elements plus a spare cache line behind them, so no
+/// allocation placed after the buffer shares a line with its elements.
+template <typename T>
+void ReserveSpareLine(std::vector<T>* v, size_t n) {
+  v->reserve(n + kCacheLine / sizeof(T));
+}
+
+/// Shared bucket accumulator for both builders. Each training worker
+/// writes its own one on every segment, so the object is line-aligned
+/// and each of its buffers ends in a spare line: two workers' state
+/// never shares a cache line.
+class alignas(kCacheLine) BucketAccumulator {
  public:
   explicit BucketAccumulator(const ModelTrainingOptions& options)
-      : options_(options),
-        incompat_(static_cast<size_t>(options.horizon_units), 0),
-        total_(static_cast<size_t>(options.horizon_units), 0) {
-    // Sized here, so a copy made on the calling thread carries the
-    // buffers CollectEvidence refills in place (DESIGN.md §12).
-    pair_.Reset(static_cast<size_t>(options.horizon_units));
+      : options_(options) {
+    const auto h = static_cast<size_t>(options.horizon_units);
+    ReserveSpareLine(&incompat_, h);
+    ReserveSpareLine(&total_, h);
+    ReserveSpareLine(&pair_.count, h + 1);
+    ReserveSpareLine(&pair_.incompatible, h + 1);
+    incompat_.assign(h, 0);
+    total_.assign(h, 0);
+    // Sized here, on the calling thread, so CollectEvidence refills
+    // these buffers in place (DESIGN.md §12).
+    pair_.Reset(h);
   }
 
   /// Adds one self-segment observation (Algorithm 1 inner loop).
@@ -152,13 +169,16 @@ Status ValidateOptions(const ModelTrainingOptions& options) {
 /// Every count is an integer, so the sum, and the model Finalize makes
 /// of it, is the same for any thread count or chunking. The partial
 /// accumulators are allocated and freed on the calling thread, so no
-/// worker's malloc arena keeps them (DESIGN.md §12).
+/// worker's malloc arena keeps them (DESIGN.md §12); each is constructed
+/// in place, since a copy would not keep the spare lines.
 template <typename Visit>
 void AccumulateParallel(size_t n, const ModelTrainingOptions& options,
                         BucketAccumulator* acc, const Visit& visit) {
   const size_t threads = std::max(1u, std::thread::hardware_concurrency());
-  std::vector<BucketAccumulator> partial(ParallelWorkerCount(n, threads),
-                                         BucketAccumulator(options));
+  const size_t workers = ParallelWorkerCount(n, threads);
+  std::vector<BucketAccumulator> partial;
+  partial.reserve(workers);
+  for (size_t w = 0; w < workers; ++w) partial.emplace_back(options);
   ParallelForWorkers(n, threads,
                      [&](size_t worker, size_t begin, size_t end) {
                        for (size_t k = begin; k < end; ++k) {

@@ -6,8 +6,12 @@
 #include <vector>
 
 #include "core/alpha_filter.h"
+#include "core/engine.h"
 #include "core/evidence.h"
 #include "core/model_builders.h"
+#include "io/report_json.h"
+#include "obs/metrics.h"
+#include "sim/scenario.h"
 #include "stats/grouped_poisson_binomial.h"
 #include "stats/poisson_binomial.h"
 #include "traj/database.h"
@@ -279,9 +283,11 @@ TEST(BucketEvidenceTest, GroupsUnderSkipsEmptyUnits) {
 // -------------------------------------- fast-reject decision identity
 
 TEST(AlphaFilterFastRejectTest, DecisionsMatchExactPath) {
-  // The Chernoff-KL bound may only fire when it proves p1 < alpha1, so
-  // accept/reject decisions with fast_reject on and off must be
-  // identical on any evidence.
+  // The Chernoff-KL bound may only fire when it proves p1 < alpha1, and
+  // the p2 floor only when it proves p2 >= alpha2, so accept decisions
+  // with fast_reject on and off must be identical on any evidence. A
+  // pair the floor decides has no p1: for those the exact path must
+  // reject, with a p2 the floor does not exceed.
   Rng rng(23);
   ModelPair models;
   models.rejection = CompatibilityModel(
@@ -291,14 +297,20 @@ TEST(AlphaFilterFastRejectTest, DecisionsMatchExactPath) {
   AlphaFilterParams fast_params;
   AlphaFilterParams exact_params;
   exact_params.fast_reject = false;
-  AlphaFilter fast(models, fast_params);
+  const AcceptanceFloor floor(models.acceptance, 8);
+  AlphaFilter fast(models, fast_params, &floor);
+  AlphaFilter chernoff(models, fast_params);
   AlphaFilter exact(models, exact_params);
   stats::GroupedPbWorkspace ws;
   BucketEvidence ev;
-  for (int trial = 0; trial < 200; ++trial) {
+  int floor_decided = 0;
+  // The first 200 trials draw long histograms, which Chernoff or the
+  // exact path decide; the next 200 short ones, which the floor can.
+  for (int trial = 0; trial < 400; ++trial) {
+    const int32_t max_count = trial < 200 ? 15 : 2;
     ev.Reset(8);
     for (size_t u = 0; u < 8; ++u) {
-      int32_t n = static_cast<int32_t>(rng.UniformInt(0, 15));
+      int32_t n = static_cast<int32_t>(rng.UniformInt(0, max_count));
       ev.count[u] = n;
       ev.incompatible[u] =
           static_cast<int32_t>(rng.UniformInt(0, n));
@@ -307,9 +319,21 @@ TEST(AlphaFilterFastRejectTest, DecisionsMatchExactPath) {
     }
     AlphaFilterDecision a = fast.Classify(ev, &ws);
     AlphaFilterDecision b = exact.Classify(ev, &ws);
+    EXPECT_EQ(a.accepted, b.accepted) << "trial " << trial;
+    if (a.fast_rejected && !chernoff.Classify(ev, &ws).fast_rejected) {
+      ++floor_decided;
+      EXPECT_FALSE(b.accepted) << "trial " << trial;
+      EXPECT_FALSE(a.survived_rejection) << "trial " << trial;
+      EXPECT_GE(a.p2, fast_params.alpha2) << "trial " << trial;
+      if (b.survived_rejection) {
+        // Pr(K <= min(k, 1)) <= p2, up to the float error the margin
+        // bounds (equal in exact arithmetic at k <= 1).
+        EXPECT_LE(a.p2, b.p2 * floor.margin_factor()) << "trial " << trial;
+      }
+      continue;
+    }
     EXPECT_EQ(a.survived_rejection, b.survived_rejection)
         << "trial " << trial << " k=" << ev.k_observed;
-    EXPECT_EQ(a.accepted, b.accepted) << "trial " << trial;
     if (a.survived_rejection) {
       // Survivors take the exact path in both configurations.
       EXPECT_DOUBLE_EQ(a.p1, b.p1);
@@ -319,6 +343,212 @@ TEST(AlphaFilterFastRejectTest, DecisionsMatchExactPath) {
       // the exact p1.
       EXPECT_GE(a.p1 + 1e-15, b.p1) << "trial " << trial;
     }
+  }
+  EXPECT_GT(floor_decided, 0);
+}
+
+// ----------------------------------------- certified alpha2 rejection
+
+/// A pair whose 2m - 1 mutual segments all fall in unit 1 (P and Q
+/// interleave 60 s apart, co-located); with `one_incompatible` Q's last
+/// record is far away, so exactly one segment is incompatible.
+struct FloorPair {
+  traj::TrajectoryDatabase p{"p"};
+  traj::TrajectoryDatabase q{"q"};
+};
+
+FloorPair MakeFloorPair(int m, bool one_incompatible) {
+  std::vector<traj::Record> pr, qr;
+  for (int i = 0; i < m; ++i) {
+    pr.push_back(R(0, 0, i * 120));
+    const double x = one_incompatible && i == m - 1 ? 1e6 : 10;
+    qr.push_back(R(x, 0, i * 120 + 60));
+  }
+  FloorPair fp;
+  EXPECT_TRUE(fp.p.Add(traj::Trajectory("p", 0, std::move(pr))).ok());
+  EXPECT_TRUE(fp.q.Add(traj::Trajectory("q", 1, std::move(qr))).ok());
+  return fp;
+}
+
+EngineOptions FloorEngineOptions(double alpha2) {
+  EngineOptions o;
+  o.training.horizon_units = 10;
+  o.alpha.alpha1 = 0.01;
+  o.alpha.alpha2 = alpha2;
+  return o;
+}
+
+AlphaFilterParams Alphas(double alpha1, double alpha2) {
+  AlphaFilterParams params;
+  params.alpha1 = alpha1;
+  params.alpha2 = alpha2;
+  return params;
+}
+
+ModelPair FloorModels() {
+  ModelPair m;
+  m.rejection = CompatibilityModel(60, std::vector<double>(10, 0.02));
+  m.acceptance = CompatibilityModel(60, std::vector<double>(10, 0.5));
+  return m;
+}
+
+int64_t FastRejects() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("ftl_query_fast_reject_total")
+      .Value();
+}
+
+/// Engines over the same models whose alpha2 puts a pair's floor just
+/// outside and just inside the certified margin, on both sides of
+/// alpha2: the floor decides only outside, above alpha2, and the served
+/// decision is always the paper's. With k = 1 the floor is Pr(K <= 1),
+/// with k = 0 Pr(K = 0); each equals the exact p2, so alpha2 inside the
+/// margin below the floor separates an accepted pair from a certified
+/// rejection by less than the margin.
+TEST(AlphaFilterCertifiedRejectTest, DecisionsWithinTheMarginAreExact) {
+  const ModelPair models = FloorModels();
+  constexpr size_t kHorizon = 10;
+  const double margin = 1400.0 * 0x1p-53 * (kHorizon + 11.0);
+  const AcceptanceFloor floor(models.acceptance, kHorizon);
+  EXPECT_EQ(floor.margin_factor(), 1.0 + margin);
+  const EvidenceOptions ev_opts = EvidenceOptionsFor(
+      FloorEngineOptions(0.1).training);
+  for (bool one_incompatible : {false, true}) {
+    const FloorPair fp = MakeFloorPair(3, one_incompatible);
+    const traj::Trajectory& p = fp.p[0];
+    const MutualSegmentEvidence segs = CollectEvidence(p, fp.q[0], ev_opts);
+    ASSERT_EQ(segs.size(), 5u);
+    ASSERT_EQ(segs.ObservedIncompatible(), one_incompatible ? 1 : 0);
+    BucketEvidence hist;
+    CollectEvidence(p, fp.q[0], ev_opts, &hist);
+    // The paper's p2 (per-trial DP): 1/32 at k = 0, 6/32 at k = 1.
+    const double p2 = AlphaFilter(models, Alphas(0.01, 0.1)).Classify(segs).p2;
+    EXPECT_NEAR(p2, one_incompatible ? 6.0 / 32 : 1.0 / 32, 1e-15);
+    struct Case {
+      double alpha2;
+      bool certified;
+      bool accepted;
+    };
+    const Case cases[] = {
+        {p2 * (1 - 2 * margin), true, false},   // outside, floor above
+        {p2 * (1 - margin / 2), false, false},  // inside, floor above
+        {p2 * (1 + margin / 2), false, true},   // inside, floor below
+        {p2 * (1 + 2 * margin), false, true},   // outside, floor below
+    };
+    for (const Case& c : cases) {
+      SCOPED_TRACE(testing::Message()
+                   << "k " << segs.ObservedIncompatible() << ", alpha2 "
+                   << std::hexfloat << c.alpha2);
+      double f = 0.0;
+      EXPECT_EQ(floor.CertainlyRejects(hist, c.alpha2, 4096, &f),
+                c.certified);
+      const AlphaFilterDecision paper =
+          AlphaFilter(models, Alphas(0.01, c.alpha2)).Classify(segs);
+      EXPECT_EQ(paper.accepted, c.accepted);
+      FtlEngine engine(FloorEngineOptions(c.alpha2));
+      engine.SetModels(models);
+      const int64_t fast0 = FastRejects();
+      auto r = engine.QueryWithCandidates(p, fp.q, {0},
+                                          Matcher::kAlphaFilter);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(FastRejects() - fast0, c.certified ? 1 : 0);
+      const std::vector<MatchCandidate>& got = r.value().candidates;
+      ASSERT_EQ(got.size(), paper.accepted ? 1u : 0u);
+      if (paper.accepted) {
+        EXPECT_NEAR(got[0].p2, paper.p2, 1e-13);
+        EXPECT_NEAR(got[0].p1, paper.p1, 1e-13);
+      }
+    }
+  }
+}
+
+/// Inputs outside the floor's derivation never certify, whatever the
+/// floor would read: a probability of 1, 0 or NaN anywhere in the
+/// table, alpha2 above 1, a pair the RNA might answer, P0 below e^-690
+/// and evidence of another horizon.
+TEST(AlphaFilterCertifiedRejectTest, DegenerateInputsNeverCertify) {
+  BucketEvidence ev;
+  ev.Reset(3);
+  ev.count[1] = 2;
+  ev.informative = 2;
+  double f = 0.0;
+  const AcceptanceFloor valid(CompatibilityModel(60, {0.5, 0.5, 0.5}), 3);
+  ASSERT_TRUE(valid.CertainlyRejects(ev, 0.1, 4096, &f));
+  EXPECT_NEAR(f, 0.25, 1e-15);
+  for (double bad : {1.0, 0.0, std::nan("")}) {
+    SCOPED_TRACE(testing::Message() << "p_1 = " << bad);
+    const AcceptanceFloor floor(CompatibilityModel(60, {0.5, bad, 0.5}), 3);
+    EXPECT_FALSE(floor.CertainlyRejects(ev, 0.0, 4096, &f));
+  }
+  // A model shorter than the evidence horizon has p = 0 beyond it.
+  EXPECT_FALSE(AcceptanceFloor(CompatibilityModel(60, {0.5, 0.5}), 3)
+                   .CertainlyRejects(ev, 0.0, 4096, &f));
+  EXPECT_FALSE(valid.CertainlyRejects(ev, 1.5, 4096, &f));
+  EXPECT_FALSE(valid.CertainlyRejects(ev, std::nan(""), 4096, &f));
+  EXPECT_FALSE(valid.CertainlyRejects(ev, 0.1, 2, &f));
+  EXPECT_TRUE(valid.CertainlyRejects(ev, 0.1, 3, &f));
+  BucketEvidence other;
+  other.Reset(4);
+  EXPECT_FALSE(valid.CertainlyRejects(other, 0.0, 4096, &f));
+  ev.count[1] = 1000;
+  ev.informative = 1000;
+  EXPECT_FALSE(valid.CertainlyRejects(ev, 0.0, 4096, &f));  // P0 = 2^-1000
+  EXPECT_FALSE(AcceptanceFloor().CertainlyRejects(ev, 0.0, 4096, &f));
+
+  // Served decisions over the degenerate models are the paper's.
+  const FloorPair fp = MakeFloorPair(3, false);
+  for (double bad : {1.0, 0.0}) {
+    ModelPair models = FloorModels();
+    std::vector<double> probs(10, 0.5);
+    probs[1] = bad;
+    models.acceptance = CompatibilityModel(60, probs);
+    const EvidenceOptions ev_opts = EvidenceOptionsFor(
+        FloorEngineOptions(0.1).training);
+    const AlphaFilterDecision paper =
+        AlphaFilter(models, Alphas(0.01, 0.1))
+            .Classify(CollectEvidence(fp.p[0], fp.q[0], ev_opts));
+    FtlEngine engine(FloorEngineOptions(0.1));
+    engine.SetModels(models);
+    const int64_t fast0 = FastRejects();
+    auto r = engine.QueryWithCandidates(fp.p[0], fp.q, {0},
+                                        Matcher::kAlphaFilter);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(FastRejects(), fast0) << "p_1 = " << bad;
+    EXPECT_EQ(r.value().candidates.size(), paper.accepted ? 1u : 0u)
+        << "p_1 = " << bad;
+  }
+}
+
+/// dense_query's population (SD, 200 objects, blocking off, the served
+/// alpha filter): an engine with fast_reject on and one with it off,
+/// over the same models, serve byte-identical results for every P
+/// label, while the bounds decide most pairs.
+TEST(AlphaFilterCertifiedRejectTest, DenseQueryResultsMatchExactPath) {
+  for (uint64_t seed : {9231u, 101u}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const sim::DatasetPair data =
+        sim::BuildDataset(sim::FindConfig("SD"), 200, seed);
+    EngineOptions o;
+    o.alpha.alpha1 = 0.01;
+    o.alpha.alpha2 = 0.1;
+    FtlEngine fast(o);
+    ASSERT_TRUE(fast.Train(data.p, data.q).ok());
+    o.alpha.fast_reject = false;
+    FtlEngine exact(o);
+    exact.SetModels(fast.models());
+    const int64_t fast0 = FastRejects();
+    size_t pairs = 0;
+    for (const traj::Trajectory& query : data.p) {
+      auto a = fast.Query(query, data.q, Matcher::kAlphaFilter);
+      auto b = exact.Query(query, data.q, Matcher::kAlphaFilter);
+      ASSERT_TRUE(a.ok() && b.ok());
+      ASSERT_EQ(io::QueryResultToJson(query.label(), a.value()),
+                io::QueryResultToJson(query.label(), b.value()))
+          << query.label();
+      pairs += data.q.size();
+    }
+    EXPECT_GT(static_cast<double>(FastRejects() - fast0),
+              0.9 * static_cast<double>(pairs));
   }
 }
 
