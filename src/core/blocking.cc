@@ -91,30 +91,41 @@ void RecordQuery(bool guaranteed, size_t survivors, size_t total) {
   m.pairs_pruned->Add(static_cast<int64_t>(total - survivors));
 }
 
-/// Grows the stamped accumulators to `n` candidates and opens a fresh
-/// generation, so stale counts from earlier queries (or other index
-/// instances) read as unset without any O(n) clearing.
-void OpenGeneration(BlockingScratch* s, size_t n) {
-  if (s->stamp.size() < n) {
-    s->stamp.resize(n, 0);
-    s->count.resize(n, 0);
-  }
-  if (++s->generation == 0) {  // wrapped: stamps are ambiguous, clear
-    std::fill(s->stamp.begin(), s->stamp.end(), 0u);
-    s->generation = 1;
-  }
-  s->touched.clear();
+/// Sizes the scratch for `n` candidates, with a count per candidate
+/// only when `counts` is set. Between probes every bit and count is
+/// zero (Collect clears what a probe set), so reuse across queries and
+/// across indices of any size needs no O(n) clearing.
+void Prepare(BlockingScratch* s, size_t n, bool counts) {
+  const size_t words = (n + 63) / 64;
+  if (s->hit.size() < words) s->hit.resize(words, 0);
+  if (counts && s->count.size() < n) s->count.resize(n, 0);
 }
 
-void Touch(BlockingScratch* s, uint32_t cand, uint32_t add) {
-  if (s->stamp[cand] != s->generation) {
-    s->stamp[cand] = s->generation;
-    s->count[cand] = add;
-    s->touched.push_back(cand);
-  } else {
-    uint64_t c = static_cast<uint64_t>(s->count[cand]) + add;
-    s->count[cand] = static_cast<uint32_t>(
-        std::min<uint64_t>(c, std::numeric_limits<uint32_t>::max()));
+/// Marks `cand` touched and, with `counts`, adds `add` to its count
+/// (saturating).
+void Hit(BlockingScratch* s, uint32_t cand, uint32_t add, bool counts) {
+  s->hit[cand >> 6] |= uint64_t{1} << (cand & 63);
+  if (counts && __builtin_add_overflow(s->count[cand], add, &s->count[cand])) {
+    s->count[cand] = std::numeric_limits<uint32_t>::max();
+  }
+}
+
+/// Appends every marked candidate for which `keep` holds to `out`, in
+/// ascending order, clearing the bitset as it goes. `keep` must clear
+/// the candidate's count when the probe kept counts.
+template <typename Keep>
+void Collect(BlockingScratch* s, size_t n, std::vector<size_t>* out,
+             Keep keep) {
+  const size_t words = (n + 63) / 64;
+  for (size_t w = 0; w < words; ++w) {
+    uint64_t bits = s->hit[w];
+    if (bits == 0) continue;
+    s->hit[w] = 0;
+    do {
+      const size_t cand = w * 64 + static_cast<size_t>(__builtin_ctzll(bits));
+      bits &= bits - 1;
+      if (keep(cand)) out->push_back(cand);
+    } while (bits != 0);
   }
 }
 
@@ -400,8 +411,9 @@ BlockingIndex::BlockingIndex(const traj::FlatDatabase& db,
   Metrics().build_us->Record(build_micros_);
 }
 
-void BlockingIndex::AccumulateSharedCells(
-    const traj::FlatTrajectoryView& query, BlockingScratch* scratch) const {
+void BlockingIndex::MarkSharedCells(const traj::FlatTrajectoryView& query,
+                                    bool counts,
+                                    BlockingScratch* scratch) const {
   // Base cells of the query, deduplicated.
   std::vector<int64_t>& keys = scratch->keys;
   keys.clear();
@@ -442,7 +454,7 @@ void BlockingIndex::AccumulateSharedCells(
     if (it == cells_.keys.end() || *it != keys[j]) continue;
     size_t row = static_cast<size_t>(it - cells_.keys.begin());
     for (uint32_t e = cells_.begin[row]; e < cells_.begin[row + 1]; ++e) {
-      Touch(scratch, cells_.entry[e], 1);
+      Hit(scratch, cells_.entry[e], 1, counts);
     }
   }
 }
@@ -470,23 +482,28 @@ void BlockingIndex::Candidates(const traj::FlatTrajectoryView& query,
   const int64_t q_lo = SatSub(q_min, options_.temporal_slack_seconds);
   const int64_t q_hi = SatAdd(q_max, options_.temporal_slack_seconds);
 
-  OpenGeneration(scratch, num_candidates_);
   if (spatial) {
     // Spatial survivors, refined by the exact span predicate — the
     // temporal index is only needed when no spatial list narrows the
-    // candidate set first.
-    AccumulateSharedCells(query, scratch);
-    for (uint32_t cand : scratch->touched) {
-      if (scratch->count[cand] < options_.min_shared_cells) continue;
-      if (temporal && !SpanOverlaps(cand, q_lo, q_hi)) continue;
-      out->push_back(cand);
-    }
+    // candidate set first. Shared cells are counted only when more
+    // than one is required.
+    const bool counts = options_.min_shared_cells > 1;
+    Prepare(scratch, num_candidates_, counts);
+    MarkSharedCells(query, counts, scratch);
+    Collect(scratch, num_candidates_, out, [&](size_t cand) {
+      if (counts && std::exchange(scratch->count[cand], 0u) <
+                        options_.min_shared_cells) {
+        return false;
+      }
+      return !temporal || SpanOverlaps(static_cast<uint32_t>(cand), q_lo, q_hi);
+    });
   } else {
     // Temporal only: probe the span lists for every bucket in the
     // query window (an interval of the sorted occupied-bucket keys, so
     // degenerate windows cost nothing), add the long-span overflow
     // list, then refine probe hits with the exact span predicate —
     // bucket rounding alone would admit near misses.
+    Prepare(scratch, num_candidates_, /*counts=*/false);
     const int64_t bucket = options_.time_bucket_seconds;
     const int64_t b_lo = FloorDiv(q_lo, bucket);
     const int64_t b_hi = FloorDiv(q_hi, bucket);
@@ -494,15 +511,16 @@ void BlockingIndex::Candidates(const traj::FlatTrajectoryView& query,
     for (; it != span_.keys.end() && *it <= b_hi; ++it) {
       size_t row = static_cast<size_t>(it - span_.keys.begin());
       for (uint32_t e = span_.begin[row]; e < span_.begin[row + 1]; ++e) {
-        Touch(scratch, span_.entry[e], 1);
+        Hit(scratch, span_.entry[e], 1, /*counts=*/false);
       }
     }
-    for (uint32_t cand : span_overflow_) Touch(scratch, cand, 1);
-    for (uint32_t cand : scratch->touched) {
-      if (SpanOverlaps(cand, q_lo, q_hi)) out->push_back(cand);
+    for (uint32_t cand : span_overflow_) {
+      Hit(scratch, cand, 1, /*counts=*/false);
     }
+    Collect(scratch, num_candidates_, out, [&](size_t cand) {
+      return SpanOverlaps(static_cast<uint32_t>(cand), q_lo, q_hi);
+    });
   }
-  std::sort(out->begin(), out->end());
   RecordQuery(false, out->size(), num_candidates_);
 }
 
@@ -524,21 +542,29 @@ void BlockingIndex::GuaranteedCandidates(
     return;
   }
 
-  // Distinct query buckets, expanded ±r buckets and merged into
-  // disjoint intervals so every candidate record lands in at most one
-  // probed interval (m̂ must count each record once).
+  // Distinct query buckets (already ascending for a time-sorted query),
+  // expanded ±r buckets and merged into disjoint intervals so every
+  // candidate record lands in at most one probed interval (m̂ must
+  // count each record once).
   const int64_t bucket = options_.time_bucket_seconds;
   const int64_t horizon = std::max<int64_t>(guarantee.horizon_seconds, 0);
   const int64_t r = (horizon + bucket - 1) / bucket;
   std::vector<int64_t>& keys = scratch->keys;
   keys.clear();
   for (size_t j = 0; j < query.size(); ++j) {
-    keys.push_back(FloorDiv(query[j].t, bucket));
+    const int64_t b = FloorDiv(query[j].t, bucket);
+    if (keys.empty() || keys.back() != b) keys.push_back(b);
   }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  if (!std::is_sorted(keys.begin(), keys.end())) {
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  }
 
-  OpenGeneration(scratch, num_candidates_);
+  // Every candidate with a record in a probed bucket has m̂ >= 1, so
+  // 2·m̂ >= min_segments holds for min_segments <= 2 without counting:
+  // a touched candidate survives. Larger bounds count records.
+  const bool counts = guarantee.min_segments > 2;
+  Prepare(scratch, num_candidates_, counts);
   size_t j = 0;
   while (j < keys.size()) {
     int64_t lo = SatSub(keys[j], r), hi = SatAdd(keys[j], r);
@@ -553,19 +579,17 @@ void BlockingIndex::GuaranteedCandidates(
       size_t row = static_cast<size_t>(it - occupancy_.keys.begin());
       for (uint32_t e = occupancy_.begin[row]; e < occupancy_.begin[row + 1];
            ++e) {
-        Touch(scratch, occupancy_.entry[e], occupancy_.weight[e]);
+        Hit(scratch, occupancy_.entry[e], occupancy_.weight[e], counts);
       }
     }
   }
 
   // Keep iff the segment-count upper bound 2·m̂ reaches min_segments.
-  for (uint32_t cand : scratch->touched) {
-    if (2 * static_cast<uint64_t>(scratch->count[cand]) >=
-        guarantee.min_segments) {
-      out->push_back(cand);
-    }
-  }
-  std::sort(out->begin(), out->end());
+  Collect(scratch, num_candidates_, out, [&](size_t cand) {
+    return !counts || 2 * static_cast<uint64_t>(std::exchange(
+                              scratch->count[cand], 0u)) >=
+                          guarantee.min_segments;
+  });
   RecordQuery(true, out->size(), num_candidates_);
 }
 

@@ -117,18 +117,18 @@ struct BlockingGuarantee {
   uint64_t min_segments = 1;
 };
 
-/// Caller-owned scratch for Candidates()/GuaranteedCandidates():
-/// generation-stamped per-candidate accumulators plus probe staging,
-/// reused across queries (and across BlockingIndex instances — buffers
-/// are re-sized per call) so a steady-state query loop allocates
-/// nothing. One instance per thread; never shared concurrently.
-/// Mirrors the engine's per-thread ScoreScratch.
+/// Caller-owned scratch for Candidates()/GuaranteedCandidates(): a
+/// per-candidate survivor bitset, per-candidate counts for the probes
+/// that need them, and probe key staging, reused across queries (and
+/// across BlockingIndex instances — buffers grow to the largest index
+/// probed) so a steady-state query loop allocates nothing. A probe
+/// leaves the bitset and counts all zero. One instance per thread;
+/// never shared concurrently. Mirrors the engine's per-thread
+/// ScoreScratch.
 struct BlockingScratch {
-  std::vector<uint32_t> stamp;    ///< per-candidate generation stamp
-  std::vector<uint32_t> count;    ///< valid iff stamp[i] == generation
-  std::vector<uint32_t> touched;  ///< candidates touched this query
-  std::vector<int64_t> keys;      ///< probe cell/bucket staging
-  uint32_t generation = 0;
+  std::vector<uint64_t> hit;    ///< bit i: candidate i touched by the probe
+  std::vector<uint32_t> count;  ///< co-occurrence counts (counting probes)
+  std::vector<int64_t> keys;    ///< probe cell/bucket staging
 };
 
 /// Precomputed index over a candidate database. Build once per
@@ -163,7 +163,10 @@ class BlockingIndex {
   /// is purely temporal (an informative segment already tolerates
   /// vmax·horizon of travel — tens of kilometres at defaults — so no
   /// spatial test can be both useful and safe; DESIGN.md §13). Every
-  /// candidate when the index was not built for kGuaranteed.
+  /// candidate when the index was not built for kGuaranteed. Both
+  /// probes read survivors off the scratch bitset in ascending order;
+  /// this one counts records only when min_segments > 2 (below that any
+  /// co-occurring record suffices).
   void GuaranteedCandidates(const traj::FlatTrajectoryView& query,
                             const BlockingGuarantee& guarantee,
                             BlockingScratch* scratch,
@@ -196,11 +199,12 @@ class BlockingIndex {
            static_cast<int64_t>(static_cast<uint32_t>(cy));
   }
 
-  /// Accumulates spatial shared-cell counts for `query` into the
-  /// scratch (stamp = current generation); probe cells are the
-  /// neighborhood expansion of the query's clamped grid cells.
-  void AccumulateSharedCells(const traj::FlatTrajectoryView& query,
-                             BlockingScratch* scratch) const;
+  /// Marks every candidate sharing a probe cell with `query` in the
+  /// scratch bitset, and with `counts` also counts its shared cells;
+  /// probe cells are the neighborhood expansion of the query's clamped
+  /// grid cells.
+  void MarkSharedCells(const traj::FlatTrajectoryView& query, bool counts,
+                       BlockingScratch* scratch) const;
 
   /// True when the candidate span overlaps [q_lo, q_hi].
   bool SpanOverlaps(uint32_t cand, int64_t q_lo, int64_t q_hi) const {

@@ -1,9 +1,32 @@
 #include "io/report_json.h"
 
-#include <cinttypes>
+#include <charconv>
 #include <cstdio>
 
 namespace ftl::io {
+namespace {
+
+/// Appends `v` as std::to_chars writes it: the same characters as
+/// snprintf's "%.15g" for a double at precision 15, and as "%" PRId64 /
+/// PRIu64 for integers, without the format-string parse.
+template <typename T, typename... Format>
+void AppendNumber(std::string* out, T v, Format... format) {
+  char buf[40];
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof(buf), v, format...);
+  out->append(buf, r.ptr);
+}
+
+bool NeedsEscape(const std::string& s) {
+  for (char c : s) {
+    if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
 
 void JsonWriter::Separate() {
   if (after_key_) {
@@ -16,37 +39,38 @@ void JsonWriter::Separate() {
   }
 }
 
-std::string JsonWriter::Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+void JsonWriter::AppendEscaped(const std::string& s) {
+  if (!NeedsEscape(s)) {
+    out_ += s;
+    return;
+  }
   for (char c : s) {
     switch (c) {
       case '"':
-        out += "\\\"";
+        out_ += "\\\"";
         break;
       case '\\':
-        out += "\\\\";
+        out_ += "\\\\";
         break;
       case '\n':
-        out += "\\n";
+        out_ += "\\n";
         break;
       case '\t':
-        out += "\\t";
+        out_ += "\\t";
         break;
       case '\r':
-        out += "\\r";
+        out_ += "\\r";
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
           std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
+          out_ += buf;
         } else {
-          out += c;
+          out_ += c;
         }
     }
   }
-  return out;
 }
 
 void JsonWriter::BeginObject() {
@@ -74,7 +98,7 @@ void JsonWriter::EndArray() {
 void JsonWriter::Key(const std::string& k) {
   Separate();
   out_ += '"';
-  out_ += Escape(k);
+  AppendEscaped(k);
   out_ += "\":";
   after_key_ = true;
 }
@@ -82,7 +106,7 @@ void JsonWriter::Key(const std::string& k) {
 void JsonWriter::Value(const std::string& v) {
   Separate();
   out_ += '"';
-  out_ += Escape(v);
+  AppendEscaped(v);
   out_ += '"';
 }
 
@@ -90,23 +114,17 @@ void JsonWriter::Value(const char* v) { Value(std::string(v)); }
 
 void JsonWriter::Value(double v) {
   Separate();
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.15g", v);
-  out_ += buf;
+  AppendNumber(&out_, v, std::chars_format::general, 15);
 }
 
 void JsonWriter::Value(int64_t v) {
   Separate();
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out_ += buf;
+  AppendNumber(&out_, v);
 }
 
 void JsonWriter::Value(uint64_t v) {
   Separate();
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out_ += buf;
+  AppendNumber(&out_, v);
 }
 
 void JsonWriter::Value(bool v) {

@@ -45,7 +45,8 @@ class JsonWriter {
 
  private:
   void Separate();
-  static std::string Escape(const std::string& s);
+  /// Appends `s` JSON-escaped (as is when nothing needs escaping).
+  void AppendEscaped(const std::string& s);
 
   std::string out_;
   std::vector<bool> needs_comma_;  // per open container

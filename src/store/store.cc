@@ -133,10 +133,9 @@ std::shared_ptr<const StoreSnapshot> StoreSnapshot::Build(
     const std::vector<std::shared_ptr<const traj::FlatDatabase>>& segments,
     const MutableSegment& memtable, uint64_t generation, uint64_t version,
     std::vector<std::shared_ptr<const core::BlockingIndex>> segment_indices,
-    core::BlockingMode blocking_mode) {
+    core::BlockingMode blocking_mode, const core::BlockingOptions& blocking) {
   auto snap = std::shared_ptr<StoreSnapshot>(new StoreSnapshot());
   snap->segments_ = segments;
-  snap->segment_indices_ = std::move(segment_indices);
   snap->blocking_mode_ = blocking_mode;
   snap->memtable_db_ =
       traj::FlatDatabase::FromDatabase(memtable.ToDatabase("memtable"));
@@ -217,6 +216,21 @@ std::shared_ptr<const StoreSnapshot> StoreSnapshot::Build(
     }
     flush_plain();
   }
+
+  // Indices: the segments' come built; the memtable copy and the
+  // overlay are indexed here, once per snapshot.
+  if (blocking_mode != core::BlockingMode::kOff) {
+    auto index_of = [&](const traj::FlatDatabase& db)
+        -> std::shared_ptr<const core::BlockingIndex> {
+      if (db.size() == 0) return nullptr;
+      return std::make_shared<const core::BlockingIndex>(db, blocking,
+                                                         blocking_mode);
+    };
+    snap->indices_ = std::move(segment_indices);
+    snap->indices_.resize(nseg);
+    snap->indices_.push_back(index_of(snap->memtable_db_));
+    snap->overlay_index_ = index_of(snap->overlay_db_);
+  }
   return snap;
 }
 
@@ -231,7 +245,7 @@ Result<std::shared_ptr<const StoreSnapshot>> StoreSnapshot::Static(
   }
   MutableSegment no_memtable;
   return Build({std::make_shared<const traj::FlatDatabase>(std::move(q))},
-               no_memtable, 0, 0, std::move(indices), mode);
+               no_memtable, 0, 0, std::move(indices), mode, blocking);
 }
 
 size_t StoreSnapshot::Find(std::string_view label) const {
@@ -289,13 +303,13 @@ Result<core::QueryResult> StoreSnapshot::Query(
   const traj::FlatDatabase qflat = FlatOf(query);
   const traj::FlatTrajectoryView qview = qflat[0];
 
-  // Candidate generation: when the snapshot carries per-segment
-  // BlockingIndexes, each plain segment run is intersected with the
-  // index survivors before scoring (guaranteed mode keeps the result
-  // byte-identical — see DESIGN.md §13; aggressive mode trades recall).
-  // Overlay and memtable runs are always scored exhaustively.
-  const bool blocked = blocking_mode_ != core::BlockingMode::kOff &&
-                       !segment_indices_.empty() && engine.trained();
+  // Candidate generation: with blocking on, every source and the
+  // overlay carry a BlockingIndex, and each run keeps only the locals
+  // its index lets survive (guaranteed mode keeps the result
+  // byte-identical but for `evaluated` — see DESIGN.md §13; aggressive
+  // mode trades recall).
+  const bool blocked =
+      blocking_mode_ != core::BlockingMode::kOff && engine.trained();
   core::BlockingGuarantee guarantee;
   if (blocked && blocking_mode_ == core::BlockingMode::kGuaranteed) {
     guarantee = engine.DeriveBlockingGuarantee(matcher);
@@ -318,52 +332,81 @@ Result<core::QueryResult> StoreSnapshot::Query(
   };
   constexpr size_t kUnitCandidates = 256;
   const size_t workers_hint = num_threads < 1 ? 1 : num_threads;
-  const size_t nseg = segments_.size();
 
-  std::deque<std::vector<size_t>> filtered_keep;  // stable addresses
+  std::deque<std::vector<size_t>> kept_runs;  // stable addresses
   std::vector<Unit> units;
   {
     core::BlockingScratch bscratch;
-    std::vector<size_t> survivors;  // per-segment, ascending
-    for (size_t s = 0; s < plans_.size(); ++s) {
-      const core::BlockingIndex* index =
-          blocked && s < nseg && s < segment_indices_.size()
-              ? segment_indices_[s].get()
-              : nullptr;
-      if (index != nullptr) {
-        if (blocking_mode_ == core::BlockingMode::kGuaranteed) {
-          index->GuaranteedCandidates(qview, guarantee, &bscratch,
-                                      &survivors);
-        } else {
-          index->Candidates(qview, &bscratch, &survivors);
-        }
+    // Survivors of `index` for the query, ascending; false when the
+    // source is scored whole.
+    auto probe = [&](const core::BlockingIndex* index,
+                     std::vector<size_t>* out) {
+      if (!blocked || index == nullptr) return false;
+      if (blocking_mode_ == core::BlockingMode::kGuaranteed) {
+        index->GuaranteedCandidates(qview, guarantee, &bscratch, out);
+      } else {
+        index->Candidates(qview, &bscratch, out);
       }
+      return true;
+    };
+    auto add_units = [&](size_t s, bool overlay,
+                         const std::vector<size_t>* run_indices) {
+      const size_t n = run_indices->size();
+      const size_t step = workers_hint > 1 ? kUnitCandidates : n;
+      for (size_t b = 0; b < n; b += step) {
+        units.push_back({static_cast<uint32_t>(s), overlay, run_indices, b,
+                         std::min(n, b + step)});
+      }
+    };
+    // Overlay runs hold one overlay index each, ascending across the
+    // whole plan walk (overlay indices follow canonical order), so one
+    // cursor over the overlay survivors serves every source.
+    std::vector<size_t> overlay_survivors;
+    const bool overlay_blocked =
+        probe(overlay_index_.get(), &overlay_survivors);
+    size_t ov = 0;
+    std::vector<size_t> survivors;
+    for (size_t s = 0; s < plans_.size(); ++s) {
+      const bool source_blocked =
+          probe(s < indices_.size() ? indices_[s].get() : nullptr,
+                &survivors);
+      size_t next = 0;  // survivors below it are behind the walk
       for (const Run& run : plans_[s]) {
         if (run.indices.empty()) continue;
-        const std::vector<size_t>* run_indices = &run.indices;
-        if (index != nullptr && !run.overlay) {
-          // Plain-run locals are ascending within a run (Build pushes
-          // them in local order), as are the survivors, so a sorted
-          // intersection preserves canonical evaluation order.
-          std::vector<size_t> filtered;
-          std::set_intersection(run.indices.begin(), run.indices.end(),
-                                survivors.begin(), survivors.end(),
-                                std::back_inserter(filtered));
-          if (filtered.empty()) continue;
-          filtered_keep.push_back(std::move(filtered));
-          run_indices = &filtered_keep.back();
+        if (run.overlay) {
+          if (overlay_blocked) {
+            const size_t o = run.indices.front();
+            while (ov < overlay_survivors.size() && overlay_survivors[ov] < o) {
+              ++ov;
+            }
+            if (ov == overlay_survivors.size() || overlay_survivors[ov] != o) {
+              continue;
+            }
+          }
+          add_units(s, true, &run.indices);
+          continue;
         }
-        const size_t n = run_indices->size();
-        const size_t step = workers_hint > 1 ? kUnitCandidates : n;
-        for (size_t b = 0; b < n; b += step) {
-          Unit u;
-          u.source = static_cast<uint32_t>(s);
-          u.overlay = run.overlay;
-          u.base = run_indices;
-          u.begin = b;
-          u.end = std::min(n, b + step);
-          units.push_back(u);
+        if (!source_blocked) {
+          add_units(s, false, &run.indices);
+          continue;
         }
+        // Walk the survivors inside the run's local range: a run's
+        // locals ascend, and it holds every local in its range unless a
+        // shadowed later home sits there.
+        const size_t lo = run.indices.front(), hi = run.indices.back();
+        const bool dense = hi - lo + 1 == run.indices.size();
+        std::vector<size_t> kept;
+        while (next < survivors.size() && survivors[next] < lo) ++next;
+        for (; next < survivors.size() && survivors[next] <= hi; ++next) {
+          const size_t local = survivors[next];
+          if (dense || std::binary_search(run.indices.begin(),
+                                          run.indices.end(), local)) {
+            kept.push_back(local);
+          }
+        }
+        if (kept.empty()) continue;
+        kept_runs.push_back(std::move(kept));
+        add_units(s, false, &kept_runs.back());
       }
     }
   }
@@ -1058,7 +1101,8 @@ std::shared_ptr<const StoreSnapshot> Store::Snapshot() const {
     snapshot_ = StoreSnapshot::Build(segments_, memtable_,
                                      manifest_.generation, version_,
                                      segment_indices_,
-                                     options_.blocking_mode);
+                                     options_.blocking_mode,
+                                     options_.blocking);
     snapshot_version_ = version_;
   }
   return snapshot_;

@@ -83,13 +83,14 @@ struct StoreOptions {
   size_t compact_max_segments = 8;
 
   /// Candidate generation for snapshot queries (`--blocking`). When
-  /// not kOff, every immutable segment gets a BlockingIndex holding
-  /// that mode's lists, built at flush/recovery/compaction time, and
-  /// snapshot queries score only the segment survivors (kGuaranteed
-  /// preserves accept sets byte-identically; kAggressive applies the
-  /// heuristic span/co-visitation blockers).
-  /// The memtable and the cross-segment overlay are always scored
-  /// exhaustively — they are small and churn too fast to index.
+  /// not kOff, every source a snapshot scores gets a BlockingIndex
+  /// holding that mode's lists — each immutable segment at
+  /// flush/recovery/compaction time, the memtable copy and the
+  /// cross-segment overlay with each snapshot — and snapshot queries
+  /// score only the survivors (kGuaranteed preserves accept sets
+  /// byte-identically; kAggressive applies the heuristic
+  /// span/co-visitation blockers, per canonical trajectory, so its
+  /// answers do not depend on flush timing).
   core::BlockingMode blocking_mode = core::BlockingMode::kOff;
   core::BlockingOptions blocking;
 };
@@ -172,9 +173,11 @@ class StoreSnapshot {
   /// plus the memtable and the cross-segment overlay, concatenates in
   /// canonical order, and re-applies the engine's stable score sort.
   /// Byte-identical to engine.Query(query, MaterializeAll(), matcher)
-  /// — candidate indices are canonical global indices. `qopts` may be
-  /// null; a fired deadline yields a truncated prefix of the canonical
-  /// order.
+  /// — candidate indices are canonical global indices. With blocking
+  /// on, every source and the overlay are probed first and only their
+  /// survivors are scored (kGuaranteed: identical but for `evaluated`,
+  /// DESIGN.md §13). `qopts` may be null; a fired deadline yields a
+  /// truncated prefix of the canonical order.
   ///
   /// `num_threads > 1` shards the fan-out: the plan is cut into
   /// per-segment candidate chunks that score in parallel on that many
@@ -228,12 +231,16 @@ class StoreSnapshot {
     std::vector<size_t> indices;
   };
 
+  /// `segment_indices` parallels `segments` when `blocking_mode` is
+  /// not kOff; the memtable and overlay indices are built here, with
+  /// `blocking` (DESIGN.md §13 has their cost).
   static std::shared_ptr<const StoreSnapshot> Build(
       const std::vector<std::shared_ptr<const traj::FlatDatabase>>& segments,
       const MutableSegment& memtable, uint64_t generation, uint64_t version,
       std::vector<std::shared_ptr<const core::BlockingIndex>> segment_indices =
           {},
-      core::BlockingMode blocking_mode = core::BlockingMode::kOff);
+      core::BlockingMode blocking_mode = core::BlockingMode::kOff,
+      const core::BlockingOptions& blocking = {});
 
   StoreSnapshot() = default;
 
@@ -243,14 +250,15 @@ class StoreSnapshot {
   }
 
   std::vector<std::shared_ptr<const traj::FlatDatabase>> segments_;
-  /// Per-segment candidate-generation indices (parallel to segments_;
-  /// empty when blocking_mode_ == kOff). Query() intersects each plain
-  /// segment run with the index survivors; overlay and memtable runs
-  /// stay exhaustive.
-  std::vector<std::shared_ptr<const core::BlockingIndex>> segment_indices_;
-  core::BlockingMode blocking_mode_ = core::BlockingMode::kOff;
   traj::FlatDatabase memtable_db_;  ///< snapshot copy of the memtable
   traj::FlatDatabase overlay_db_;   ///< pre-merged multi-home labels
+  /// Candidate-generation indices, all built for blocking_mode_ (none
+  /// when it is kOff): one per source (parallel to sources; null for an
+  /// empty one) and one over the overlay. Query() keeps, from each run,
+  /// the locals its index lets survive.
+  std::vector<std::shared_ptr<const core::BlockingIndex>> indices_;
+  std::shared_ptr<const core::BlockingIndex> overlay_index_;
+  core::BlockingMode blocking_mode_ = core::BlockingMode::kOff;
 
   std::vector<CanonEntry> canon_;                    ///< canonical order
   std::unordered_map<std::string, size_t> by_label_; ///< label -> global

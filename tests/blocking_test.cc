@@ -497,8 +497,9 @@ TEST(BlockingTest, MatchesBruteForceReference) {
       }
 
       const int64_t horizons[] = {0, 1, 3599, 3600, 7200, int64_t{1} << 40};
-      const uint64_t min_segs[] = {0, 1, 2, 5};
-      const BlockingGuarantee g{horizons[rng() % 6], min_segs[rng() % 4]};
+      // 1 and 2 take the count-free probe, 3 and 5 count records.
+      const uint64_t min_segs[] = {0, 1, 2, 3, 5};
+      const BlockingGuarantee g{horizons[rng() % 6], min_segs[rng() % 5]};
       const std::vector<size_t> want_g = RefGuaranteed(rows, q, o, g);
       guaranteed.GuaranteedCandidates(q_soa[0], g, &scratch, &got);
       EXPECT_EQ(got, want_g) << "horizon " << g.horizon_seconds

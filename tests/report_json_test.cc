@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "io/json_parse.h"
 #include "io/report_json.h"
 
@@ -51,6 +59,74 @@ TEST(JsonWriterTest, ControlCharactersEscaped) {
   JsonWriter w;
   w.Value(std::string("a\x01") + "b");
   EXPECT_EQ(w.str(), "\"a\\u0001b\"");
+}
+
+// Numbers are written with std::to_chars; they must read exactly as
+// snprintf's "%.15g" / "%lld" / "%llu" did, for random bit patterns,
+// uniform values, signed zeros, subnormals, infinities, NaNs and the
+// integer limits. A string with a quote, a backslash and a control
+// character still goes through the escaping path.
+TEST(JsonWriterTest, NumbersMatchPrintf) {
+  auto printed = [](const char* format, auto v) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), format, v);
+    return std::string(buf);
+  };
+  auto written = [](auto v) {
+    JsonWriter w;
+    w.Value(v);
+    return w.str();
+  };
+  std::vector<double> doubles = {
+      0.0,
+      -0.0,
+      1.0,
+      -1.5,
+      0.1,
+      1e15,
+      1e16,
+      123456789012345678.0,
+      1e-5,
+      1e-4,
+      1e21,
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::epsilon(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+  };
+  std::mt19937_64 rng(20261020);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  for (int i = 0; i < 20000; ++i) {
+    doubles.push_back(std::bit_cast<double>(rng()));
+    doubles.push_back(unit(rng));
+    doubles.push_back(unit(rng) * 1e6);
+  }
+  for (double v : doubles) {
+    EXPECT_EQ(written(v), printed("%.15g", v))
+        << "bits " << std::bit_cast<uint64_t>(v);
+  }
+  for (int64_t v : {std::numeric_limits<int64_t>::min(), int64_t{-1},
+                    int64_t{0}, int64_t{7},
+                    std::numeric_limits<int64_t>::max()}) {
+    EXPECT_EQ(written(v), printed("%lld", static_cast<long long>(v)));
+  }
+  for (uint64_t v : {uint64_t{0}, uint64_t{42},
+                     std::numeric_limits<uint64_t>::max()}) {
+    EXPECT_EQ(written(v),
+              printed("%llu", static_cast<unsigned long long>(v)));
+  }
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("label");
+  w.Value(std::string("a\"b\\c\x02" "d"));
+  w.EndObject();
+  EXPECT_EQ(w.str(), "{\"label\":\"a\\\"b\\\\c\\u0002d\"}");
 }
 
 TEST(JsonWriterTest, DoublePrecision15Digits) {

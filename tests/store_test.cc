@@ -9,14 +9,17 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <limits>
 #include <numeric>
+#include <random>
 #include <string>
 #include <thread>
 #include <utility>
@@ -1350,6 +1353,332 @@ TEST_F(StoreQueryTest, CandidateOutcomesPartitionEveryPath) {
       EXPECT_EQ(nb ? fast : nb_rejects, 0) << where;
       EXPECT_GT(nb ? nb_rejects : fast, 0) << where;
     }
+  }
+}
+
+// --------------------------------------------------------------------------
+// Random store histories against the merged-database oracle. Q is the
+// fixture's merged database in three copies, the second and third 30
+// and 60 days later so that blocking prunes in every source; each label
+// arrives as three time-ordered chunks, so a label can be re-ingested
+// after its first rows were flushed (which puts it on the overlay).
+
+/// Chunks [first_part, end_part) of every label, label by label.
+std::vector<store::IngestBatch> ShiftedChunks(
+    const traj::TrajectoryDatabase& db, int copies, size_t first_part = 0,
+    size_t end_part = 3) {
+  std::vector<store::IngestBatch> out;
+  for (int copy = 0; copy < copies; ++copy) {
+    for (const traj::Trajectory& t : db) {
+      std::string label = "c";
+      label += std::to_string(copy);
+      label += '-';
+      label += t.label();
+      const size_t n = t.size();
+      for (size_t part = first_part; part < end_part; ++part) {
+        store::IngestBatch b;
+        for (size_t i = part * n / 3; i < (part + 1) * n / 3; ++i) {
+          const traj::Record& r = t.records()[i];
+          b.rows.push_back(store::IngestRow{label, t.owner(),
+                                            r.t + copy * 30 * 86400,
+                                            r.location.x, r.location.y});
+        }
+        if (!b.rows.empty()) out.push_back(std::move(b));
+      }
+    }
+  }
+  return out;
+}
+
+/// One store per blocking mode, each in its own directory, driven
+/// through the same operations.
+class ModeStores {
+ public:
+  ModeStores(const std::string& name,
+             const std::vector<core::BlockingMode>& modes,
+             const core::BlockingOptions& blocking = {}) {
+    for (core::BlockingMode mode : modes) {
+      store::StoreOptions so = SmallStoreOptions();
+      so.blocking_mode = mode;
+      so.blocking = blocking;
+      options_.push_back(so);
+      dirs_.push_back(FreshDir(name + "_" + core::BlockingModeName(mode)));
+      stores_.emplace_back();
+    }
+    EXPECT_TRUE(Reopen().ok());
+  }
+
+  store::Store& operator[](size_t i) { return *stores_[i]; }
+
+  Status Append(const store::IngestBatch& batch) {
+    return Each([&](store::Store& s) { return s.Append(batch); });
+  }
+  Status Flush() {
+    return Each([](store::Store& s) { return s.Flush(); });
+  }
+  Status Compact() {
+    return Each([](store::Store& s) { return s.CompactOnce(true).status(); });
+  }
+  Status Reopen() {
+    for (size_t i = 0; i < stores_.size(); ++i) {
+      stores_[i].reset();
+      auto opened = store::Store::Open(dirs_[i], options_[i]);
+      if (!opened.ok()) return opened.status();
+      stores_[i] = std::move(opened).value();
+    }
+    return Status::OK();
+  }
+
+ private:
+  Status Each(const std::function<Status(store::Store&)>& op) {
+    for (auto& s : stores_) FTL_RETURN_NOT_OK(op(*s));
+    return Status::OK();
+  }
+
+  std::vector<store::StoreOptions> options_;
+  std::vector<std::string> dirs_;
+  std::vector<std::unique_ptr<store::Store>> stores_;
+};
+
+/// `r` as served, with its scored-candidate count replaced.
+std::string JsonWithEvaluated(const std::string& label, core::QueryResult r,
+                              size_t evaluated) {
+  r.evaluated = evaluated;
+  return io::QueryResultToJson(label, r);
+}
+
+// Seeded sequences of appends, flushes, forced compactions and reopens.
+// After every step each P query goes through StoreSnapshot::Query at 1
+// and 4 threads in every blocking mode. Off and guaranteed must equal
+// engine.Query over MaterializeAll() byte for byte but for `evaluated`
+// (off: including it), and guaranteed `evaluated` must be the number of
+// pairs the engine scored. Aggressive may only drop candidates: each it
+// keeps carries the exhaustive scores. The matcher alternates by step.
+TEST_F(StoreQueryTest, RandomOperationSequencesMatchMergedOracle) {
+  const std::vector<store::IngestBatch> chunks = ShiftedChunks(merged_, 3);
+  const std::vector<core::BlockingMode> modes = {
+      core::BlockingMode::kOff, core::BlockingMode::kGuaranteed,
+      core::BlockingMode::kAggressive};
+  obs::Counter& scored =
+      obs::MetricsRegistry::Global().GetCounter("ftl_query_candidates_total");
+  for (uint64_t seed : {uint64_t{7}, uint64_t{8}, uint64_t{9}}) {
+    std::mt19937_64 rng(seed);
+    std::vector<size_t> order(chunks.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::shuffle(order.begin(), order.end(), rng);
+    ModeStores stores("store_random_ops", modes);
+    size_t next = 0;
+    for (int step = 0; next < order.size(); ++step) {
+      std::string op;
+      const uint64_t pick = rng() % 10;
+      if (pick < 5) {
+        const size_t n = std::min<size_t>(1 + rng() % 24, order.size() - next);
+        op = "append " + std::to_string(n) + " chunks";
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_TRUE(stores.Append(chunks[order[next++]]).ok());
+        }
+      } else if (pick < 7) {
+        op = "flush";
+        ASSERT_TRUE(stores.Flush().ok());
+      } else if (pick < 9) {
+        op = "compact";
+        ASSERT_TRUE(stores.Compact().ok());
+      } else {
+        op = "reopen";
+        ASSERT_TRUE(stores.Reopen().ok());
+      }
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step) + " (" + op + ", " +
+                   std::to_string(stores[0].num_segments()) + " segments)");
+      const traj::TrajectoryDatabase merged = stores[0].MaterializeAll("m");
+      if (merged.empty()) {
+        for (size_t m = 0; m < modes.size(); ++m) {
+          EXPECT_EQ(stores[m]
+                        .Snapshot()
+                        ->Query(*engine_, p_[0], core::Matcher::kNaiveBayes,
+                                nullptr)
+                        .status()
+                        .code(),
+                    StatusCode::kInvalidArgument);
+        }
+        continue;
+      }
+      const core::Matcher matcher = step % 2 == 0
+                                        ? core::Matcher::kNaiveBayes
+                                        : core::Matcher::kAlphaFilter;
+      for (const traj::Trajectory& q : p_) {
+        auto want = engine_->Query(q, merged, matcher);
+        ASSERT_TRUE(want.ok()) << want.status().ToString();
+        const std::string want_json =
+            io::QueryResultToJson(q.label(), want.value());
+        for (size_t m = 0; m < modes.size(); ++m) {
+          auto snap = stores[m].Snapshot();
+          std::string serial;
+          for (size_t threads : {size_t{1}, size_t{4}}) {
+            const std::string where = q.label() + " " +
+                                      core::BlockingModeName(modes[m]) +
+                                      " threads " + std::to_string(threads);
+            const int64_t before = scored.Value();
+            auto got = snap->Query(*engine_, q, matcher, nullptr, threads);
+            ASSERT_TRUE(got.ok()) << where << ": " << got.status().ToString();
+            const core::QueryResult& r = got.value();
+            const std::string json = io::QueryResultToJson(q.label(), r);
+            if (threads == 1) serial = json;
+            EXPECT_EQ(json, serial) << where;
+            switch (modes[m]) {
+              case core::BlockingMode::kOff:
+                EXPECT_EQ(json, want_json) << where;
+                break;
+              case core::BlockingMode::kGuaranteed:
+                EXPECT_EQ(JsonWithEvaluated(q.label(), r,
+                                            want.value().evaluated),
+                          want_json)
+                    << where;
+                EXPECT_EQ(static_cast<int64_t>(r.evaluated),
+                          scored.Value() - before)
+                    << where;
+                break;
+              case core::BlockingMode::kAggressive:
+                for (const core::MatchCandidate& c : r.candidates) {
+                  auto same = [&](const core::MatchCandidate& w) {
+                    return w.index == c.index && w.label == c.label &&
+                           w.score == c.score && w.p1 == c.p1 &&
+                           w.p2 == c.p2;
+                  };
+                  EXPECT_TRUE(std::any_of(want.value().candidates.begin(),
+                                          want.value().candidates.end(),
+                                          same))
+                      << where << ": " << c.label;
+                }
+                break;
+            }
+          }
+        }
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+/// Responses of a `mode` snapshot when every canonical trajectory is
+/// probed whole: the survivors of an index over the merged database,
+/// scored. `lost` gains the candidates exhaustive scoring accepts that
+/// the probe dropped, `pruned` the candidates it dropped.
+std::vector<std::string> ProbeThenScore(
+    const core::FtlEngine& engine, const traj::TrajectoryDatabase& p,
+    const traj::TrajectoryDatabase& merged, core::BlockingMode mode,
+    const core::BlockingOptions& blocking, size_t* lost, size_t* pruned) {
+  const traj::FlatDatabase flat = traj::FlatDatabase::FromDatabase(merged);
+  const core::BlockingIndex index(flat, blocking, mode);
+  core::BlockingScratch scratch;
+  std::vector<std::string> out;
+  for (core::Matcher matcher :
+       {core::Matcher::kNaiveBayes, core::Matcher::kAlphaFilter}) {
+    for (const traj::Trajectory& q : p) {
+      traj::TrajectoryDatabase one;
+      EXPECT_TRUE(one.Add(q).ok());
+      const traj::FlatDatabase qflat = traj::FlatDatabase::FromDatabase(one);
+      std::vector<size_t> survivors;
+      if (mode == core::BlockingMode::kGuaranteed) {
+        index.GuaranteedCandidates(qflat[0],
+                                   engine.DeriveBlockingGuarantee(matcher),
+                                   &scratch, &survivors);
+      } else {
+        index.Candidates(qflat[0], &scratch, &survivors);
+      }
+      auto r = engine.QueryWithCandidates(qflat[0], flat, survivors, matcher);
+      auto full = engine.Query(qflat[0], flat, matcher);
+      EXPECT_TRUE(r.ok() && full.ok());
+      if (!r.ok() || !full.ok()) return out;
+      *lost += full.value().candidates.size() - r.value().candidates.size();
+      *pruned += flat.size() - survivors.size();
+      out.push_back(io::QueryResultToJson(q.label(), r.value()));
+    }
+  }
+  return out;
+}
+
+/// Drives a one-store ModeStores through four states, each answering
+/// every P query: the first two chunks of every label in the memtable;
+/// flushed to a segment; the third chunks appended (so every label also
+/// has rows in the memtable and is queried off the overlay); flushed
+/// again. In each state the snapshot must answer exactly as
+/// ProbeThenScore over the merged database, at 1 and 4 threads.
+/// Returns the per-state `lost` and `pruned` counts.
+std::vector<std::pair<size_t, size_t>> CheckBlockedStates(
+    const core::FtlEngine& engine, const traj::TrajectoryDatabase& p,
+    const traj::TrajectoryDatabase& merged_q, ModeStores* stores,
+    core::BlockingMode mode, const core::BlockingOptions& blocking) {
+  std::vector<std::pair<size_t, size_t>> counts;
+  auto check = [&](const std::string& state) {
+    SCOPED_TRACE(state);
+    size_t lost = 0, pruned = 0;
+    const std::vector<std::string> want =
+        ProbeThenScore(engine, p, (*stores)[0].MaterializeAll("m"), mode,
+                       blocking, &lost, &pruned);
+    counts.emplace_back(lost, pruned);
+    auto snap = (*stores)[0].Snapshot();
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      size_t i = 0;
+      for (core::Matcher matcher :
+           {core::Matcher::kNaiveBayes, core::Matcher::kAlphaFilter}) {
+        for (const traj::Trajectory& q : p) {
+          auto got = snap->Query(engine, q, matcher, nullptr, threads);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          ASSERT_LT(i, want.size());
+          EXPECT_EQ(io::QueryResultToJson(q.label(), got.value()), want[i++])
+              << q.label() << " threads " << threads;
+        }
+      }
+    }
+  };
+  for (const auto& b : ShiftedChunks(merged_q, 3, 0, 2)) {
+    EXPECT_TRUE(stores->Append(b).ok());
+  }
+  check("memtable");
+  EXPECT_TRUE(stores->Flush().ok());
+  check("one segment");
+  for (const auto& b : ShiftedChunks(merged_q, 3, 2, 3)) {
+    EXPECT_TRUE(stores->Append(b).ok());
+  }
+  check("segment, memtable and overlay");
+  EXPECT_TRUE(stores->Flush().ok());
+  check("two segments and overlay");
+  return counts;
+}
+
+// Aggressive blocking decides per canonical trajectory, so where a
+// candidate's rows sit (memtable, segment or overlay) must not change an
+// answer. Tight knobs make the probe drop candidates that exhaustive
+// scoring accepts, in every state, so the memtable answers show it.
+TEST_F(StoreQueryTest, AggressiveAnswersDoNotDependOnFlush) {
+  core::BlockingOptions tight;
+  tight.cell_size_meters = 500.0;
+  tight.neighborhood = 0;
+  tight.min_shared_cells = 2;
+  tight.temporal_slack_seconds = 0;
+  ModeStores stores("store_aggressive_flush",
+                    {core::BlockingMode::kAggressive}, tight);
+  const auto counts =
+      CheckBlockedStates(*engine_, p_, merged_, &stores,
+                         core::BlockingMode::kAggressive, tight);
+  ASSERT_EQ(counts.size(), 4u);
+  for (const auto& [lost, pruned] : counts) EXPECT_GT(lost, 0u);
+}
+
+// Guaranteed blocking probes the memtable and the overlay too: with rows
+// there that co-occur with no query (the shifted copies), `evaluated`
+// leaves them out in every state, and the rest of each answer is the
+// exhaustive one.
+TEST_F(StoreQueryTest, GuaranteedSnapshotPrunesMemtableRows) {
+  ModeStores stores("store_guaranteed_memtable",
+                    {core::BlockingMode::kGuaranteed});
+  const auto counts = CheckBlockedStates(
+      *engine_, p_, merged_, &stores, core::BlockingMode::kGuaranteed, {});
+  ASSERT_EQ(counts.size(), 4u);
+  for (const auto& [lost, pruned] : counts) {
+    EXPECT_EQ(lost, 0u);
+    EXPECT_GT(pruned, 0u);
   }
 }
 
